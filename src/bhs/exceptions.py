@@ -14,7 +14,11 @@ class GeometryError(BhsError):
 
 
 class IllConditionedSystemError(BhsError):
-    """Boundary-integral system is numerically singular, likely a spurious resonance."""
+    """Boundary-integral system cannot be solved reliably.
+
+    Raised when it is numerically singular (likely a spurious resonance) or
+    when its kernel arguments leave the range of ``bhs.special``.
+    """
 
 
 class NearBoundaryError(BhsError):

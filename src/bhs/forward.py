@@ -57,6 +57,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy import special as _sp
 
+from . import special
 from .exceptions import IllConditionedSystemError, NearBoundaryError, OracleError
 from .geometry import BoundaryDiscretization, ParametricCurve, discretize
 from .linalg import spectral_norm
@@ -200,10 +201,22 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
     remainders are the analytic limits, which involve the curve jacobian,
     the Euler-Mascheroni constant and (for the derivative row) the
     curvature term nu.x'' / (4 pi |x'|).
+
+    The kernels are the order-0/1 cylinder functions of ``bhs.special``,
+    with H = J + iY reusing J. Each block's kernel pair is evaluated just
+    before the block is written into the preallocated Fortran-ordered
+    result and released after it, so only one block's m x m temporaries
+    are alive at a time; the Fortran order lets ``ClampedSolver`` factor
+    the result in place.
+
+    Raises
+    ------
+    IllConditionedSystemError
+        If kappa times the largest node distance exceeds the argument range
+        of ``bhs.special``.
     """
     if kappa <= 0.0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
-    t = disc.params
     m = disc.node_count
     n = disc.n
     jac = disc.jacobians
@@ -213,69 +226,91 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
     r = np.hypot(diff[..., 0], diff[..., 1])                 # (m, m)
     np.fill_diagonal(r, 1.0)
     kr = kappa * r
+    kr_max = float(kr.max())
+    if kr_max > special.MAX_ARGUMENT:
+        raise IllConditionedSystemError(
+            f"kappa * r_max = {kr_max:.6g} is outside the special-function argument "
+            f"range [0, {special.MAX_ARGUMENT:g}]"
+        )
     # nu(t_i) . (x(t_i) - x(t_j)); O(r^2) near the diagonal.
     c_over_r = np.einsum("ik,ijk->ij", nu, diff) / r
+    del diff, r
 
-    off_diag = ~np.eye(m, dtype=bool)
-    logs = np.zeros((m, m))
-    np.log(4.0 * np.sin((t[:, None] - t[None, :]) / 2.0) ** 2, where=off_diag, out=logs)
-
-    idx = np.arange(m)
-    W = _kress_log_weights(n)[(idx[:, None] - idx[None, :]) % m]  # (m, m)
+    # Kress split A log(4 sin^2((t - tau)/2)) + (B - A log(...)): the log
+    # factor takes the weights R, the remainder the trapezoid rule, so a block
+    # is (R - w_trap log(4 sin^2)) A + w_trap B. On the equispaced nodes
+    # t_i = pi i / n both weights depend only on (i - j) mod m.
     w_trap = np.pi / n
+    log_sin2 = np.zeros(m)  # 0 on the diagonal, whose limit B's diagonal carries
+    log_sin2[1:] = np.log(4.0 * np.sin(np.arange(1, m) * (np.pi / (2 * n))) ** 2)
+    idx = np.arange(m)
+    W = (_kress_log_weights(n) - w_trap * log_sin2)[(idx[:, None] - idx[None, :]) % m]
     jrow = jac[None, :]
+    out = np.empty((2 * m, 2 * m), dtype=np.complex128, order="F")
+    top, bottom = slice(0, m), slice(m, 2 * m)
+
+    def put(rows, cols, A, B, diag_A, diag_B):
+        # Diagonals set to their analytic limits; A and B are released on return.
+        np.fill_diagonal(A, diag_A)
+        np.fill_diagonal(B, diag_B)
+        block = out[rows, cols]
+        np.multiply(W, A, out=block)
+        block += w_trap * B
 
     # --- S_k: (i/4) H_0^(1)(k r) --------------------------------------------
-    A1 = -(1.0 / (4.0 * np.pi)) * _sp.jv(0, kr) * jrow
-    B1 = 0.25j * _sp.hankel1(0, kr) * jrow - A1 * logs
-    np.fill_diagonal(A1, -(1.0 / (4.0 * np.pi)) * jac)  # J_0(0) = 1
-    np.fill_diagonal(B1, (0.25j - _EULER / (2 * np.pi) - np.log(kappa * jac / 2.0) / (2 * np.pi)) * jac)
-    S = W * A1 + w_trap * B1
-
-    # --- St_k: (1/2 pi) K_0(k r) --------------------------------------------
-    A2 = -(1.0 / (4.0 * np.pi)) * _sp.iv(0, kr) * jrow
-    B2 = (0.5 / np.pi) * _sp.kv(0, kr) * jrow - A2 * logs
-    np.fill_diagonal(A2, -(1.0 / (4.0 * np.pi)) * jac)  # I_0(0) = 1
-    np.fill_diagonal(B2, -(_EULER + np.log(kappa * jac / 2.0)) / (2 * np.pi) * jac)
-    St = W * A2 + w_trap * B2
+    J = special.bessel_j(0, kr)
+    put(top, top,
+        -(1.0 / (4.0 * np.pi)) * J * jrow,
+        0.25j * (J + 1j * special.bessel_y(0, kr)) * jrow,
+        -(1.0 / (4.0 * np.pi)) * jac,  # J_0(0) = 1
+        (0.25j - _EULER / (2 * np.pi) - np.log(kappa * jac / 2.0) / (2 * np.pi)) * jac)
 
     # --- K'_k: -(i k/4) H_1^(1)(k r) (nu_i.(x_i - x_j))/r ---------------------
     curv_diag = np.einsum("ik,ik->i", nu, disc.second_derivatives) / (4.0 * np.pi * jac)
-    A3 = (kappa / (4.0 * np.pi)) * _sp.jv(1, kr) * c_over_r * jrow
-    B3 = -0.25j * kappa * _sp.hankel1(1, kr) * c_over_r * jrow - A3 * logs
-    np.fill_diagonal(A3, 0.0)
-    np.fill_diagonal(B3, curv_diag)
-    Kp = W * A3 + w_trap * B3
+    J = special.bessel_j(1, kr)
+    put(bottom, top,
+        (kappa / (4.0 * np.pi)) * J * c_over_r * jrow,
+        -0.25j * kappa * (J + 1j * special.bessel_y(1, kr)) * c_over_r * jrow,
+        0.0, curv_diag)
+    del J
+
+    # --- St_k: (1/2 pi) K_0(k r) --------------------------------------------
+    put(top, bottom,
+        -(1.0 / (4.0 * np.pi)) * special.bessel_i(0, kr) * jrow,
+        (0.5 / np.pi) * special.bessel_k(0, kr) * jrow,
+        -(1.0 / (4.0 * np.pi)) * jac,  # I_0(0) = 1
+        -(_EULER + np.log(kappa * jac / 2.0)) / (2 * np.pi) * jac)
 
     # --- Kt'_k: -(k/2 pi) K_1(k r) (nu_i.(x_i - x_j))/r -----------------------
-    A4 = -(kappa / (4.0 * np.pi)) * _sp.iv(1, kr) * c_over_r * jrow
-    B4 = -(kappa / (2.0 * np.pi)) * _sp.kv(1, kr) * c_over_r * jrow - A4 * logs
-    np.fill_diagonal(A4, 0.0)
-    np.fill_diagonal(B4, curv_diag)
-    Ktp = W * A4 + w_trap * B4
+    put(bottom, bottom,
+        -(kappa / (4.0 * np.pi)) * special.bessel_i(1, kr) * c_over_r * jrow,
+        -(kappa / (2.0 * np.pi)) * special.bessel_k(1, kr) * c_over_r * jrow,
+        0.0, curv_diag)
 
-    half = 0.5 * np.eye(m)
-    return np.block([[S, St], [Kp - half, Ktp - half]])
+    out[m + idx, idx] -= 0.5      # K'_k - I/2
+    out[m + idx, m + idx] -= 0.5  # Kt'_k - I/2
+    return out
 
 
 class ClampedSolver:
     """Factored direct solver for one (discretization, wavenumber) pair.
 
-    Assembles once, estimates the 1-norm condition number from the LU
-    factors, and solves any number of boundary-data columns by
-    back-substitution. Immutable after construction; concurrent solves
-    against the shared factorization are safe (the back-substitutions
-    themselves take turns, see ``_LU_SOLVE_LOCK``).
+    Assembles once, takes the matrix 1-norm, LU-factors the assembled
+    matrix in place (no second copy is kept) and estimates the 1-norm
+    condition number from the factors. Solves any number of boundary-data
+    columns by back-substitution. Immutable after construction; concurrent
+    solves against the shared factorization are safe (the
+    back-substitutions themselves take turns, see ``_LU_SOLVE_LOCK``).
     """
 
     def __init__(self, disc: BoundaryDiscretization, kappa: float):
         self.disc = disc
         self.kappa = float(kappa)
         A = assemble_system(disc, kappa)
-        self._matrix = A
-        self._lu = sla.lu_factor(A, check_finite=False)
-        gecon = sla.get_lapack_funcs("gecon", (A,))
-        rcond, _ = gecon(self._lu[0], np.linalg.norm(A, 1), norm="1")
+        norm_1 = np.linalg.norm(A, 1)  # before the factorization overwrites A
+        self._lu = sla.lu_factor(A, overwrite_a=True, check_finite=False)
+        gecon = sla.get_lapack_funcs("gecon", (self._lu[0],))
+        rcond, _ = gecon(self._lu[0], norm_1, norm="1")
         self.condition_estimate = float(1.0 / rcond) if rcond > 0 else np.inf
         if self.condition_estimate > _COND_LIMIT:
             raise IllConditionedSystemError(
@@ -309,7 +344,9 @@ def evaluate_scattered(dens: LayerDensities, disc: BoundaryDiscretization, kappa
 
     Plain trapezoid quadrature of the layer potentials; the point must be
     at least two node spacings away from the boundary for that to be
-    accurate.
+    accurate. The kernels come from ``scipy.special`` directly, because
+    kappa |x - y| may lie far beyond the argument range of ``bhs.special``
+    (far-zone checks evaluate at kappa r ~ 3e4).
     """
     x = np.asarray(x, dtype=float).reshape(2)
     dist = np.hypot(*(x[None, :] - disc.nodes).T)
@@ -435,7 +472,9 @@ def analytic_disk_far_field(R: float, kappa: float, d, xhat) -> complex:
 
         u_inf(xhat, d) = -4i sum_n a_n (-i)^n e^{i n (theta_x - theta_d)}.
 
-    Independent of the boundary-integral path; serves as its oracle.
+    Independent of the boundary-integral path; serves as its oracle. It
+    calls ``scipy.special`` directly, not ``bhs.special``, so that it does
+    not share the layer whose kernels it checks.
     """
     if R <= 0.0 or kappa <= 0.0:
         raise ValueError("R and kappa must be positive")

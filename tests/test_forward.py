@@ -264,6 +264,22 @@ def test_spurious_resonance_detected():
     assert solver.condition_estimate < 1e8
 
 
+def test_kernel_argument_beyond_special_range_raises_typed_error():
+    """kappa * diam = 800 is past the argument range of bhs.special."""
+    disc = discretize(make_named_curve("circle"), 64)
+    with pytest.raises(IllConditionedSystemError):
+        ClampedSolver(disc, 400.0)
+
+
+def test_condition_estimate_tracks_dense_condition_number():
+    """The 1-norm is taken before the in-place LU overwrites the matrix."""
+    disc = discretize(make_named_curve("apple"), 32)
+    kappa = np.pi
+    dense = np.linalg.cond(assemble_system(disc, kappa), 1)
+    ratio = ClampedSolver(disc, kappa).condition_estimate / dense
+    assert 1.0 / 3.0 < ratio < 3.0
+
+
 # ---------------------------------------------------------------------------
 # Noise model
 # ---------------------------------------------------------------------------

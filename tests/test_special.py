@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from bhs.special import bessel_i, bessel_j, bessel_k, bessel_y, cyl_derivative, hankel1
 
@@ -186,6 +187,23 @@ def test_cyl_derivative_examples():
     assert cyl_derivative("K", 3, x) == pytest.approx(fdk, abs=1e-6)
     fdh = (hankel1(1, x + h) - hankel1(1, x - h)) / (2 * h)
     assert cyl_derivative("H1", 1, x) == pytest.approx(fdh, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_order01_entry_points_match_general_order(n):
+    """Orders 0 and 1 use the order-specific ufuncs; they agree with jv/yv/iv/kv.
+
+    J and Y oscillate through zeros, so their error is taken relative to the
+    larger of |f| and the envelope sqrt(2 / (pi x)).
+    """
+    x = np.logspace(-3, np.log10(500.0), 20001)
+    envelope = np.sqrt(2.0 / (np.pi * x))
+    cases = ((bessel_j, sp.jv, envelope), (bessel_y, sp.yv, envelope),
+             (bessel_i, sp.iv, 0.0), (bessel_k, sp.kv, 0.0))
+    for ours, general, floor in cases:
+        reference = general(n, x)
+        error = np.abs(ours(n, x) - reference) / np.maximum(np.abs(reference), floor)
+        assert error.max() < 1e-13, (ours.__name__, float(error.max()))
 
 
 def test_domain_errors():
