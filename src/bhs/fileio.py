@@ -4,6 +4,10 @@ All numeric output uses 17-significant-digit decimals, which round-trips
 IEEE doubles exactly, keeps files diff-able, and stays language-portable.
 Every format starts with a magic+version line; readers reject unknown
 versions. Direction grids are implicit and 0-based: theta_i = 2 pi i / N.
+
+Far-field, indicator, mask and heatmap files are tables, written by
+``_write`` and parsed by ``_read``/``_rows``: the one place the row format
+and its row-count and row-width checks live.
 """
 
 from __future__ import annotations
@@ -37,52 +41,62 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write(path, header_lines, rows, fmt="%.17g") -> None:
+    """The one table writer: header lines, then one line of ``fmt`` values per row."""
+    np.savetxt(path, rows, fmt=fmt, header="\n".join(header_lines), comments="",
+               encoding="utf-8")
+
+
+def _read(path, magic: str):
+    """Check the magic line; return the leading key=value lines as a dict and
+    the data lines after them."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != magic:
+        raise FormatError(f"{path}: expected magic line {magic!r}")
+    pos = 1
+    while pos < len(lines) and "=" in lines[pos]:
+        pos += 1
+    header = dict(line.split("=", 1) for line in lines[1:pos])
+    return header, lines[pos:]
+
+
+def _rows(path, data, count: int, width: int) -> np.ndarray:
+    """The one table parser: the first ``count`` data lines as a (count, width) array."""
+    if len(data) < count:
+        raise FormatError(f"{path}: expected {count} data rows, found {len(data)}")
+    rows = [line.split() for line in data[:count]]
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise FormatError(f"{path}: row {i} has {len(row)} values, expected {width}")
+    return np.array(rows, dtype=float).reshape(count, width)
+
+
 def write_farfield(path, F: FarFieldMatrix) -> None:
-    """Write a far-field matrix: magic, kappa, N, then N rows of 2N decimals."""
-    N = F.size
-    lines = [_FF_MAGIC, f"kappa={_fmt(F.kappa)}", f"N={N}"]
-    for i in range(N):
-        row = F.entries[i]
-        lines.append(" ".join(f"{_fmt(v.real)} {_fmt(v.imag)}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a far-field matrix: magic, kappa, N, then N rows of 2N decimals
+    (real and imaginary parts interleaved)."""
+    rows = np.ascontiguousarray(F.entries).view(np.float64)
+    _write(path, [_FF_MAGIC, f"kappa={_fmt(F.kappa)}", f"N={F.size}"], rows)
 
 
 def read_farfield(path) -> FarFieldMatrix:
     """Read a far-field file; warns on an odd direction count (reciprocity
     diagnostics need an even grid) but accepts it."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != _FF_MAGIC:
-        raise FormatError(f"{path}: expected magic line {_FF_MAGIC!r}")
+    header, data = _read(path, _FF_MAGIC)
     try:
-        kappa = float(lines[1].split("=", 1)[1])
-        N = int(lines[2].split("=", 1)[1])
-    except (IndexError, ValueError) as exc:
+        kappa, N = float(header["kappa"]), int(header["N"])
+    except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: malformed header") from exc
-    data = lines[3:3 + N]
-    if len(data) < N:
-        raise FormatError(f"{path}: expected {N} data rows, found {len(data)}")
-    entries = np.empty((N, N), dtype=np.complex128)
-    for i, line in enumerate(data):
-        parts = line.split()
-        if len(parts) != 2 * N:
-            raise FormatError(f"{path}: row {i} has {len(parts)} values, expected {2 * N}")
-        vals = np.array([float(p) for p in parts])
-        entries[i] = vals[0::2] + 1j * vals[1::2]
+    entries = _rows(path, data, N, 2 * N).view(np.complex128)
     if N % 2 != 0:
         warnings.warn(f"{path}: odd direction count {N}; reciprocity diagnostics need even N")
     return FarFieldMatrix(kappa=kappa, entries=entries)
-
-
-def _meta_lines(meta: dict):
-    for key in sorted(meta):
-        yield f"meta.{key}={meta[key]}"
 
 
 def write_indicator(path, indicator: IndicatorMap) -> None:
     """Write an indicator map: header with bounds/resolution and metadata,
     then ny rows of nx decimals with y increasing row by row."""
     g = indicator.grid
-    lines = [
+    header = [
         _IND_MAGIC,
         f"xmin={_fmt(g.xmin)}",
         f"xmax={_fmt(g.xmax)}",
@@ -91,19 +105,13 @@ def write_indicator(path, indicator: IndicatorMap) -> None:
         f"nx={g.nx}",
         f"ny={g.ny}",
     ]
-    lines.extend(_meta_lines(indicator.meta))
-    arr = indicator.as_array()
-    for iy in range(g.ny):
-        lines.append(" ".join(_fmt(v) for v in arr[iy]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header += [f"meta.{key}={indicator.meta[key]}" for key in sorted(indicator.meta)]
+    _write(path, header, indicator.as_array())
 
 
 def read_indicator(path) -> IndicatorMap:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != _IND_MAGIC:
-        raise FormatError(f"{path}: expected magic line {_IND_MAGIC!r}")
+    header, data = _read(path, _IND_MAGIC)
     try:
-        header = dict(line.split("=", 1) for line in lines[1:7])
         grid = SamplingGrid(
             xmin=float(header["xmin"]), xmax=float(header["xmax"]),
             ymin=float(header["ymin"]), ymax=float(header["ymax"]),
@@ -111,22 +119,9 @@ def read_indicator(path) -> IndicatorMap:
         )
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: malformed header") from exc
-    meta = {}
-    pos = 7
-    while pos < len(lines) and lines[pos].startswith("meta."):
-        key, value = lines[pos][5:].split("=", 1)
-        meta[key] = value
-        pos += 1
-    data = lines[pos:pos + grid.ny]
-    if len(data) < grid.ny:
-        raise FormatError(f"{path}: expected {grid.ny} data rows, found {len(data)}")
-    rows = []
-    for i, line in enumerate(data):
-        vals = [float(p) for p in line.split()]
-        if len(vals) != grid.nx:
-            raise FormatError(f"{path}: row {i} has {len(vals)} values, expected {grid.nx}")
-        rows.append(vals)
-    return IndicatorMap(grid=grid, values=np.asarray(rows, dtype=float).ravel(), meta=meta)
+    meta = {key[5:]: value for key, value in header.items() if key.startswith("meta.")}
+    values = _rows(path, data, grid.ny, grid.nx).ravel()
+    return IndicatorMap(grid=grid, values=values, meta=meta)
 
 
 def write_heatmap(path, indicator: IndicatorMap) -> None:
@@ -146,10 +141,7 @@ def write_heatmap(path, indicator: IndicatorMap) -> None:
         )
     else:
         pix = np.zeros_like(arr, dtype=int)
-    lines = ["P2", f"{g.nx} {g.ny}", str(_PGM_MAXVAL)]
-    for iy in range(g.ny - 1, -1, -1):  # top row = ymax
-        lines.append(" ".join(str(v) for v in pix[iy]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, ["P2", f"{g.nx} {g.ny}", str(_PGM_MAXVAL)], pix[::-1], fmt="%d")
 
 
 def write_mask(path, indicator: IndicatorMap, mask: np.ndarray) -> None:

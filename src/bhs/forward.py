@@ -156,10 +156,6 @@ class FarFieldMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def directions(self) -> np.ndarray:
-        return equiangular_directions(self.size)
-
 
 def equiangular_directions(N: int) -> np.ndarray:
     """Unit vectors (cos theta_i, sin theta_i), theta_i = 2 pi i / N, shape (N, 2)."""

@@ -11,11 +11,12 @@ Recognized keys (defaults in parentheses):
     shape           apple | peanut | peach | circle | ellipse
     center          two comma-separated floats (0,0)
     scale           similarity factor (1)
-    kappa           wavenumber; required unless multi-frequency or reading data
+    kappa           wavenumber; required unless multi-frequency or reading
+                    farfield_in, whose file sets it (giving both is an error)
     kappa_min, kappa_max, L   uniform multi-frequency grid (esm only; L=1)
     N               direction count (32)
     n               boundary quadrature parameter, power of two (128)
-    delta           relative noise level (0)
+    delta           relative noise level (0); forward and lsm data only
     seed            noise seed (0)
     alpha           Tikhonov parameter (1e-6 for lsm, 1e-4 for esm modes)
     grid_xmin, grid_xmax, grid_ymin, grid_ymax, grid_nx, grid_ny
@@ -27,6 +28,7 @@ Recognized keys (defaults in parentheses):
     directions      comma-separated incident angles in radians (pi/3)
     out             output path prefix (run)
     farfield_in     read far-field data from this file instead of synthesizing
+                    (lsm, esm with L=1 and esm-multilevel; not with kappa or delta)
 
 All randomness flows from ``seed``; re-running an identical scenario
 produces byte-identical outputs. Each run writes a ``<out>.manifest`` that
@@ -193,12 +195,18 @@ def _validate(s: Scenario, lines_of: dict) -> None:
     if not s.directions:
         _fail("directions", where("directions"), "must be nonempty")
 
-    needs_shape = s.farfield_in is None
-    if needs_shape and s.shape is None:
-        _fail("shape", 0, f"required for mode={s.mode} without farfield_in")
-    if s.farfield_in is not None and s.delta > 0:
+    if s.farfield_in is None:
+        if s.shape is None:
+            _fail("shape", 0, f"required for mode={s.mode} without farfield_in")
+    elif s.mode == "forward":
+        _fail("farfield_in", where("farfield_in"), "mode=forward synthesizes its data")
+    elif s.kappa is not None:
+        _fail("kappa", where("kappa"), "the farfield_in file sets kappa; drop kappa")
+    elif s.delta > 0:
         _fail("delta", where("delta"),
               "noise applies when synthesizing data; drop farfield_in or set delta=0")
+    if s.mode in ("esm", "esm-multilevel") and s.delta > 0:
+        _fail("delta", where("delta"), f"mode={s.mode} adds no noise to its data; set delta=0")
     if s.mode == "esm":
         if s.R is None:
             _fail("R", 0, "required for mode=esm")
@@ -209,14 +217,10 @@ def _validate(s: Scenario, lines_of: dict) -> None:
                 _fail("kappa_max", where("kappa_max"), "must exceed kappa_min")
             if s.farfield_in is not None:
                 _fail("farfield_in", where("farfield_in"), "multi-frequency runs synthesize data")
-        elif s.kappa is None and s.farfield_in is None:
-            _fail("kappa", 0, "required for mode=esm")
-    elif s.mode == "esm-multilevel":
-        if s.R0 is None:
-            _fail("R0", 0, "required for mode=esm-multilevel")
-        if s.kappa is None:
-            _fail("kappa", 0, "required for mode=esm-multilevel")
-    elif s.kappa is None and s.farfield_in is None:
+    elif s.mode == "esm-multilevel" and s.R0 is None:
+        _fail("R0", 0, "required for mode=esm-multilevel")
+    multi_frequency = s.mode == "esm" and s.L > 1
+    if s.kappa is None and s.farfield_in is None and not multi_frequency:
         _fail("kappa", 0, f"required for mode={s.mode}")
 
 

@@ -1,4 +1,4 @@
-"""Cylinder functions (Bessel, Hankel, modified Bessel) on validated domains.
+"""Bessel and modified Bessel functions on validated domains.
 
 Thin wrappers around ``scipy.special`` that pin down the integer-order,
 real-argument domain and raise on out-of-range input instead of returning
@@ -6,9 +6,10 @@ NaN. Orders up to 200 and arguments up to 500 are supported. Orders 0 and
 1 go to scipy's order-specific ufuncs (``j0``, ``y1``, ``k0``, ...), which
 are several times faster than the general-order ones on large arrays.
 
-The Nystrom assembly in ``bhs.forward`` evaluates all of its kernels here.
-When kappa times the largest node distance exceeds ``MAX_ARGUMENT`` the
-solver raises ``IllConditionedSystemError`` instead of calling in.
+The Nystrom assembly in ``bhs.forward`` evaluates all of its kernels here
+and composes its Hankel kernels H = J + i Y itself. When kappa times the
+largest node distance exceeds ``MAX_ARGUMENT`` the solver raises
+``IllConditionedSystemError`` instead of calling in.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ __all__ = [
     "bessel_y",
     "bessel_i",
     "bessel_k",
-    "hankel1",
-    "cyl_derivative",
 ]
 
 MAX_ORDER = 200
@@ -83,38 +82,3 @@ def bessel_k(n: int, x):
     x = _check_argument(x, positive=True)
     return _evaluate(_sp.kv, (_sp.k0, _sp.k1), n, x)
 
-
-def hankel1(n: int, x):
-    """Hankel function of the first kind, composed exactly as J_n(x) + i Y_n(x)."""
-    return bessel_j(n, x) + 1j * bessel_y(n, x)
-
-
-def cyl_derivative(kind: str, n: int, x):
-    """First derivative of a cylinder function via the standard recurrences.
-
-    J and H1 use C_n'(x) = (C_{n-1}(x) - C_{n+1}(x)) / 2 with C_0' = -C_1;
-    K uses K_n'(x) = -(K_{n-1}(x) + K_{n+1}(x)) / 2 with K_0' = -K_1.
-
-    Parameters
-    ----------
-    kind : {"J", "H1", "K"}
-        Family of the base function.
-    n : int
-        Order, 0 <= n <= MAX_ORDER.
-    x : float or ndarray
-        Argument, same domain as the base function.
-    """
-    n = _check_order(n)
-    if kind == "J":
-        if n == 0:
-            return -bessel_j(1, x)
-        return 0.5 * (bessel_j(n - 1, x) - bessel_j(n + 1, x))
-    if kind == "H1":
-        if n == 0:
-            return -hankel1(1, x)
-        return 0.5 * (hankel1(n - 1, x) - hankel1(n + 1, x))
-    if kind == "K":
-        if n == 0:
-            return -bessel_k(1, x)
-        return -0.5 * (bessel_k(n - 1, x) + bessel_k(n + 1, x))
-    raise ValueError(f"unknown kind {kind!r}, expected 'J', 'H1' or 'K'")

@@ -1,10 +1,13 @@
 """Scenario parsing, end-to-end drivers, CLI determinism and error paths."""
 
 import hashlib
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import bhs
 from bhs.cli import main
 from bhs.exceptions import ConfigError
 from bhs.fileio import read_farfield, read_indicator, write_farfield
@@ -59,6 +62,10 @@ def test_parse_comments_and_duplicates():
         ("mode=esm\nshape=apple\nkappa=1\n", "R"),
         ("mode=esm-multilevel\nshape=apple\nkappa=1\n", "R0"),
         ("mode=lsm\nkappa=1\n", "shape"),
+        # ESM perturbs none of its columns, so a noise level would only be recorded.
+        ("mode=esm\nshape=apple\nkappa=1\nR=0.5\ndelta=0.2\n", "key 'delta' \\(line 5\\)"),
+        ("mode=esm-multilevel\nshape=apple\nkappa=1\nR0=4\ndelta=0.2\n",
+         "key 'delta' \\(line 5\\)"),
     ],
 )
 def test_parse_errors_name_the_key(text, needle):
@@ -79,6 +86,24 @@ def test_multilevel_radius_key():
 def test_noise_with_file_input_rejected():
     with pytest.raises(ConfigError, match="delta"):
         parse_scenario("mode=lsm\nfarfield_in=x.ff\ndelta=0.05\n")
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ("mode=forward\nfarfield_in=x.ff\n", "key 'farfield_in' \\(line 2\\)"),
+        ("mode=lsm\nfarfield_in=x.ff\nkappa=1\n", "key 'kappa' \\(line 3\\)"),
+        ("mode=esm\nfarfield_in=x.ff\nkappa=1\nR=0.5\n", "key 'kappa' \\(line 3\\)"),
+        ("mode=esm-multilevel\nfarfield_in=x.ff\nkappa=1\nR0=4\n", "key 'kappa' \\(line 3\\)"),
+        ("mode=esm-multilevel\nfarfield_in=x.ff\nR0=4\n", None),
+    ],
+)
+def test_farfield_in_sets_kappa_in_every_mode(text, needle):
+    if needle is None:
+        assert parse_scenario(text).kappa is None
+    else:
+        with pytest.raises(ConfigError, match=needle):
+            parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +269,13 @@ def test_scenario_multifrequency_wavenumbers():
     s = Scenario(mode="esm", shape="peach", kappa_min=np.pi, kappa_max=4 * np.pi, L=5, R=1.0)
     ks = s.wavenumbers()
     np.testing.assert_allclose(ks, np.linspace(np.pi, 4 * np.pi, 5), rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "module", ["bhs"] + [f"bhs.{info.name}" for info in pkgutil.iter_modules(bhs.__path__)]
+)
+def test_every_all_name_resolves(module):
+    # Tooling (the benchmark tracer among it) wraps each name in __all__ by getattr.
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

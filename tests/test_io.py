@@ -44,6 +44,23 @@ def test_farfield_zero_matrix_layout(tmp_path):
     assert all(len(line.split()) == 8 for line in lines[3:])
 
 
+def test_farfield_decimal_text_pinned(tmp_path):
+    entries = np.array([[complex(0.1, -0.0), complex(1e-300, 1.0)],
+                        [complex(-0.0, 0.1), complex(2.5, -3.0)]])
+    path = tmp_path / "pinned.ff"
+    write_farfield(path, FarFieldMatrix(kappa=np.pi, entries=entries))
+    assert path.read_text().splitlines() == [
+        "#bhff v1",
+        "kappa=3.1415926535897931",
+        "N=2",
+        "0.10000000000000001 -0 1e-300 1",
+        "-0 0.10000000000000001 2.5 -3",
+    ]
+    back = read_farfield(path).entries
+    assert np.array_equal(back, entries)
+    assert np.signbit(back[0, 0].imag) and np.signbit(back[1, 0].real)
+
+
 def test_farfield_odd_grid_flagged(tmp_path):
     path = tmp_path / "odd.ff"
     path.write_text("#bhff v1\nkappa=1\nN=3\n" + "\n".join(["0 0 0 0 0 0"] * 3) + "\n")
@@ -57,6 +74,10 @@ def test_farfield_format_errors(tmp_path):
     bad_magic.write_text("#bhff v2\nkappa=1\nN=2\n0 0 0 0\n0 0 0 0\n")
     with pytest.raises(FormatError):
         read_farfield(bad_magic)
+    no_count = tmp_path / "n.ff"
+    no_count.write_text("#bhff v1\nkappa=1\n0 0 0 0\n0 0 0 0\n")
+    with pytest.raises(FormatError, match="malformed header"):
+        read_farfield(no_count)
     short = tmp_path / "b.ff"
     short.write_text("#bhff v1\nkappa=1\nN=3\n0 0 0 0 0 0\n")
     with pytest.raises(FormatError):
@@ -90,6 +111,10 @@ def test_indicator_reader_rejects_bad_files(tmp_path):
     short.write_text("#bhind v1\nxmin=0\nxmax=1\nymin=0\nymax=1\nnx=2\nny=3\n0 0\n0 0\n")
     with pytest.raises(FormatError):
         read_indicator(short)
+    ragged = tmp_path / "c.ind"
+    ragged.write_text("#bhind v1\nxmin=0\nxmax=1\nymin=0\nymax=1\nnx=2\nny=2\nmeta.a=b\n0 0\n0\n")
+    with pytest.raises(FormatError, match="row 1 has 1 values, expected 2"):
+        read_indicator(ragged)
 
 
 def test_heatmap_pinned_two_by_two(tmp_path):
