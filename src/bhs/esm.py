@@ -19,7 +19,14 @@ Because the translation enters A^z only through unitary diagonal factors,
 the norm ||g_z|| equals || (alpha I + U* U)^{-1} U* (e^{i kappa z.xhat} o b) ||,
 the Tikhonov solution norm of the z = 0 system for phase-shifted data. One
 SVD of U per wavenumber (see :mod:`bhs.linalg`) therefore serves the whole
-grid and every incident direction, with O(N) per-point state.
+grid and every incident direction.
+
+On a sampling grid e^{i kappa xhat.z} = ex[:, ix] ey[:, iy] with
+ex = e^{i kappa xhat_1 xs} (N, nx) and ey = e^{i kappa xhat_2 ys} (N, ny), built
+once per wavenumber: N (nx + ny) exponentials. Each data column b then costs
+one (ny x N) @ (N x nx) product per row of diag(f) U* diag(b) (see
+:meth:`TikhonovFactorization.plane_wave_norms`) and holds O(N (nx + ny) +
+N nx + nx ny) values, never an (N, nx ny) block.
 """
 
 from __future__ import annotations
@@ -198,15 +205,14 @@ def esm_indicator(columns, config: EsmConfig, meta: dict | None = None) -> Indic
     if np.any(np.max(np.abs(columns), axis=2) == 0.0):
         raise DataError("far-field column is identically zero")
 
-    points_t = config.grid.points().T                                  # (2, K)
-    raw = np.zeros(config.grid.size)
+    raw = np.zeros((config.grid.ny, config.grid.nx))
     for ell, kappa in enumerate(config.wavenumbers):
         kernel = build_disk_kernel(config.radius, kappa, N)
         fact = TikhonovFactorization(kernel.matrix, config.alpha)
-        phase = np.exp(1j * kappa * (equiangular_directions(N) @ points_t))  # (N, K)
+        ex, ey = config.grid.plane_wave_factors(kappa * equiangular_directions(N))
         for j in range(J):
-            raw += fact.solution_norms(phase * columns[ell, j][:, None])
-    values = raw / np.max(raw)
+            raw += fact.plane_wave_norms(columns[ell, j], ex, ey)
+    values = raw.ravel() / np.max(raw)
     info = {
         "method": "esm",
         "kappa": list(map(float, config.wavenumbers)),

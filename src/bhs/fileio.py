@@ -64,11 +64,16 @@ def _rows(path, data, count: int, width: int) -> np.ndarray:
     """The one table parser: the first ``count`` data lines as a (count, width) array."""
     if len(data) < count:
         raise FormatError(f"{path}: expected {count} data rows, found {len(data)}")
-    rows = [line.split() for line in data[:count]]
-    for i, row in enumerate(rows):
+    out = np.empty((count, width))
+    for i, line in enumerate(data[:count]):
+        row = line.split()
         if len(row) != width:
             raise FormatError(f"{path}: row {i} has {len(row)} values, expected {width}")
-    return np.array(rows, dtype=float).reshape(count, width)
+        try:
+            out[i] = row
+        except ValueError as exc:
+            raise FormatError(f"{path}: row {i}: {exc}") from None
+    return out
 
 
 def write_farfield(path, F: FarFieldMatrix) -> None:

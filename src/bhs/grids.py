@@ -52,6 +52,13 @@ class SamplingGrid:
         X, Y = np.meshgrid(self.xs, self.ys)  # ys indexed by rows
         return np.stack([X.ravel(), Y.ravel()], axis=-1)
 
+    def plane_wave_factors(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Factors ex = e^{i k_x xs} (N, nx) and ey = e^{i k_y ys} (N, ny) of the
+        plane waves of wave vectors ``k`` (N, 2): e^{i k_j.z} at grid point
+        (xs[ix], ys[iy]) is ex[j, ix] * ey[j, iy]."""
+        k = np.asarray(k, dtype=float)
+        return np.exp(1j * np.outer(k[:, 0], self.xs)), np.exp(1j * np.outer(k[:, 1], self.ys))
+
 
 @dataclass(frozen=True)
 class IndicatorMap:
@@ -79,7 +86,8 @@ class IndicatorMap:
 
     def argmin_point(self) -> np.ndarray:
         """Sampling point with the smallest value (lowest row-major index on ties)."""
-        return self.grid.points()[int(np.argmin(self.values))]
+        iy, ix = divmod(int(np.argmin(self.values)), self.grid.nx)
+        return np.array([self.grid.xs[ix], self.grid.ys[iy]])
 
     def normalized(self) -> np.ndarray:
         """Values scaled to maximum 1 (used for cutoff classification)."""

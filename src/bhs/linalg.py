@@ -56,16 +56,22 @@ class TikhonovFactorization:
         """Solve min ||A g - b||^2 + alpha ||g||^2 for one vector b or a stack of columns."""
         return self._v @ (self._filtered_uh @ np.asarray(b, dtype=np.complex128))
 
-    def solution_norms(self, B: np.ndarray) -> np.ndarray:
-        """||g|| of the regularized solution for b = B or for each column of B.
+    def plane_wave_norms(self, w: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+        """||g|| of the regularized solution for every b = w o (ex[:, ix] * ey[:, iy]).
 
-        V is unitary, so ||g|| = ||f o U* b|| and the product with V is
-        skipped. The squares are summed over the real and imaginary parts
-        separately, which keeps complex temporaries of the size of B away.
+        ``w`` has shape (N,), ``ex`` (N, nx) and ``ey`` (N, ny); the result
+        has shape (ny, nx). V is unitary, so ||g|| = ||f o U* b|| and the
+        product with V is skipped. With M = diag(f) U* diag(w), component r
+        of f o U* b over all (iy, ix) is the (ny, nx) matrix ey^T (M[r] o ex),
+        so one small product per row of M is accumulated and no (N, nx ny)
+        block of right-hand sides is ever formed.
         """
-        C = self._filtered_uh @ np.asarray(B, dtype=np.complex128)
-        return np.sqrt(np.einsum("i...,i...->...", C.real, C.real)
-                       + np.einsum("i...,i...->...", C.imag, C.imag))
+        M = self._filtered_uh * np.asarray(w, dtype=np.complex128)
+        sq = np.zeros((ey.shape[1], ex.shape[1]))
+        for row in M:
+            c = ey.T @ (row[:, None] * ex)
+            sq += c.real**2 + c.imag**2
+        return np.sqrt(sq)
 
 
 def tikhonov_solve(A: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:

@@ -11,6 +11,12 @@ flexural-wave operator with source at z. The indicator 1/||g_z||^2 is
 large inside the cavity and small outside. F does not depend on z, so one
 SVD of F serves the whole grid (||g_z|| = ||f o U* Phi_inf(., z)|| with the
 Tikhonov filter factors f) and, in the Morozov search, every alpha.
+
+On a sampling grid e^{-i kappa xhat.z} = ex[:, ix] ey[:, iy] with
+ex = e^{-i kappa xhat_1 xs} (N, nx) and ey = e^{-i kappa xhat_2 ys} (N, ny), so
+the map costs N (nx + ny) exponentials plus one (ny x N) @ (N x nx) product
+per row of diag(f) U* (see :meth:`TikhonovFactorization.plane_wave_norms`)
+and holds O(N (nx + ny) + N nx + nx ny) values, never an (N, nx ny) block.
 """
 
 from __future__ import annotations
@@ -35,16 +41,13 @@ def phi_infinity_rhs(z, kappa: float, N: int) -> np.ndarray:
     """Point-source far-field vector Phi_inf(xhat_i, z) on the equiangular grid."""
     if N % 2 != 0:
         raise ValueError(f"direction count must be even, got {N}")
-    return _phi_infinity(np.asarray(z, dtype=float).reshape(2), kappa, N)
+    z = np.asarray(z, dtype=float).reshape(2)
+    return _phi_prefactor(kappa) * np.exp(-1j * kappa * (equiangular_directions(N) @ z))
 
 
-def _phi_infinity(z: np.ndarray, kappa: float, N: int) -> np.ndarray:
-    """Phi_inf(xhat_i, z) for one point z (2,), shape (N,), or for the rows of
-    a (K, 2) array, shape (N, K). Any N: data read from a file may be odd."""
-    prefactor = -(0.5 / kappa**2) * np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * np.pi * kappa)
-    out = np.exp(-1j * kappa * (equiangular_directions(N) @ z.T))
-    out *= prefactor
-    return out
+def _phi_prefactor(kappa: float) -> complex:
+    """The z-independent factor of Phi_inf: -(1 / 2 kappa^2) e^{i pi/4} / sqrt(8 pi kappa)."""
+    return -(0.5 / kappa**2) * np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * np.pi * kappa)
 
 
 def lsm_indicator(F: FarFieldMatrix, grid: SamplingGrid, alpha: float = DEFAULT_ALPHA,
@@ -64,9 +67,11 @@ def lsm_indicator(F: FarFieldMatrix, grid: SamplingGrid, alpha: float = DEFAULT_
     if alpha <= 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     fact = TikhonovFactorization(F.entries, alpha)
-    P = _phi_infinity(grid.points(), F.kappa, F.size)   # (N, K)
+    # Any N here: data read from a file may have an odd direction count.
+    w = np.full(F.size, _phi_prefactor(F.kappa))
+    ex, ey = grid.plane_wave_factors(-F.kappa * equiangular_directions(F.size))
     # Phi_inf never vanishes, so g_z != 0 for every z and the inverse is safe.
-    values = 1.0 / fact.solution_norms(P) ** 2
+    values = 1.0 / fact.plane_wave_norms(w, ex, ey).ravel() ** 2
     info = {"method": "lsm", "kappa": F.kappa, "alpha": alpha}
     if meta:
         info.update(meta)

@@ -13,7 +13,7 @@ Recognized keys (defaults in parentheses):
     scale           similarity factor (1)
     kappa           wavenumber; required unless multi-frequency or reading
                     farfield_in, whose file sets it (giving both is an error)
-    kappa_min, kappa_max, L   uniform multi-frequency grid (esm only; L=1)
+    kappa_min, kappa_max, L   uniform multi-frequency grid (mode=esm only; L=1)
     N               direction count (32)
     n               boundary quadrature parameter, power of two (128)
     delta           relative noise level (0); forward and lsm data only
@@ -23,8 +23,8 @@ Recognized keys (defaults in parentheses):
                     sampling region and resolution
                     (lsm: [-1.5, 1.5]^2 at 128 x 128; esm: [-3, 3]^2 at 200 x 200)
     zeta            mask cutoff on the normalized indicator (0.2)
-    R               sampling-disk radius, required for mode=esm
-    R0              initial radius, required for mode=esm-multilevel
+    R               sampling-disk radius; mode=esm only, and required there
+    R0              initial radius; mode=esm-multilevel only, and required there
     directions      comma-separated incident angles in radians (pi/3)
     out             output path prefix (run)
     farfield_in     read far-field data from this file instead of synthesizing
@@ -207,6 +207,14 @@ def _validate(s: Scenario, lines_of: dict) -> None:
               "noise applies when synthesizing data; drop farfield_in or set delta=0")
     if s.mode in ("esm", "esm-multilevel") and s.delta > 0:
         _fail("delta", where("delta"), f"mode={s.mode} adds no noise to its data; set delta=0")
+    # A key of another mode would be ignored yet recorded in the manifest.
+    # Every manifest writes the default L=1, so only L > 1 is stray.
+    for key, given, owner in (("L", s.L > 1, "esm"), ("kappa_min", s.kappa_min is not None, "esm"),
+                              ("kappa_max", s.kappa_max is not None, "esm"),
+                              ("R", s.R is not None, "esm"),
+                              ("R0", s.R0 is not None, "esm-multilevel")):
+        if given and s.mode != owner:
+            _fail(key, where(key), f"applies to mode={owner} only")
     if s.mode == "esm":
         if s.R is None:
             _fail("R", 0, "required for mode=esm")

@@ -66,6 +66,14 @@ def test_parse_comments_and_duplicates():
         ("mode=esm\nshape=apple\nkappa=1\nR=0.5\ndelta=0.2\n", "key 'delta' \\(line 5\\)"),
         ("mode=esm-multilevel\nshape=apple\nkappa=1\nR0=4\ndelta=0.2\n",
          "key 'delta' \\(line 5\\)"),
+        # Keys of another mode would be ignored yet recorded in the manifest.
+        ("mode=lsm\nshape=apple\nkappa=1\nL=3\n", "key 'L' \\(line 4\\)"),
+        ("mode=lsm\nshape=apple\nkappa=1\nkappa_min=1\n", "key 'kappa_min' \\(line 4\\)"),
+        ("mode=esm-multilevel\nshape=apple\nkappa=1\nR0=4\nkappa_max=2\n",
+         "key 'kappa_max' \\(line 5\\)"),
+        ("mode=forward\nshape=apple\nkappa=1\nR=3\n", "key 'R' \\(line 4\\)"),
+        ("mode=esm\nshape=apple\nkappa=1\nR=0.5\nR0=3\n", "key 'R0' \\(line 5\\)"),
+        ("mode=lsm\nshape=apple\nkappa=1\nR0=3\n", "key 'R0' \\(line 4\\)"),
     ],
 )
 def test_parse_errors_name_the_key(text, needle):
@@ -240,6 +248,14 @@ def test_cli_forward_and_verify(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "N=16" in captured.out
     assert "reciprocity_residual" in captured.out
+
+
+def test_cli_verify_bad_number_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.ff"
+    path.write_text("#bhff v1\nkappa=1\nN=2\n0 abc 0 0\n0 0 0 0\n")
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "row 0" in err and "abc" in err
 
 
 def test_cli_mode_mismatch(tmp_path, capsys):

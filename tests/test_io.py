@@ -86,6 +86,10 @@ def test_farfield_format_errors(tmp_path):
     ragged.write_text("#bhff v1\nkappa=1\nN=2\n0 0 0 0\n0 0\n")
     with pytest.raises(FormatError):
         read_farfield(ragged)
+    not_a_number = tmp_path / "d.ff"
+    not_a_number.write_text("#bhff v1\nkappa=1\nN=2\n0 0 0 0\n0 0 abc 0\n")
+    with pytest.raises(FormatError, match="row 1: could not convert string to float: 'abc'"):
+        read_farfield(not_a_number)
 
 
 def test_indicator_round_trip(tmp_path):

@@ -73,8 +73,15 @@ def test_factorization_matches_single_solve():
     batch = fact.solve(B)
     for j in range(7):
         np.testing.assert_allclose(batch[:, j], tikhonov_solve(A, B[:, j], 1e-5), atol=1e-10)
-    np.testing.assert_allclose(fact.solution_norms(B), np.linalg.norm(batch, axis=0), rtol=1e-12)
-    assert fact.solution_norms(B[:, 0]) == pytest.approx(np.linalg.norm(batch[:, 0]), rel=1e-12)
+    # Plane-wave right-hand sides w o (ex[:, ix] * ey[:, iy]), built densely in
+    # the row-major (iy, ix) order of the returned (ny, nx) norms.
+    w = random_complex(rng, 12)
+    ex = np.exp(1j * rng.standard_normal((12, 5)))
+    ey = np.exp(1j * rng.standard_normal((12, 3)))
+    dense = (w[:, None, None] * ey[:, :, None] * ex[:, None, :]).reshape(12, 15)
+    norms = fact.plane_wave_norms(w, ex, ey)
+    assert norms.shape == (3, 5)
+    np.testing.assert_allclose(norms.ravel(), np.linalg.norm(fact.solve(dense), axis=0), rtol=1e-12)
 
 
 def test_alpha_validation():

@@ -62,6 +62,26 @@ def test_indicator_closed_form_scaled_identity():
         assert indicator.values[k] == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("N", [32, 31])
+def test_indicator_matches_dense_phi_block(N):
+    """Separable grid evaluation against the dense (N, K) right-hand-side block
+    on a non-square, off-centre grid; N=31 is the odd count a file may carry."""
+    from bhs.linalg import TikhonovFactorization
+
+    kappa, alpha = 2 * np.pi, 1e-6
+    rng = np.random.default_rng(N)
+    F = FarFieldMatrix(kappa=kappa, entries=rng.standard_normal((N, N))
+                       + 1j * rng.standard_normal((N, N)))
+    grid = SamplingGrid(0.3, 1.9, -1.2, -0.1, 7, 5)
+    th = 2 * np.pi * np.arange(N) / N
+    d = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    prefactor = -(0.5 / kappa**2) * np.exp(1j * np.pi / 4) / np.sqrt(8 * np.pi * kappa)
+    P = prefactor * np.exp(-1j * kappa * (d @ grid.points().T))
+    g = TikhonovFactorization(F.entries, alpha).solve(P)
+    expected = 1.0 / np.linalg.norm(g, axis=0) ** 2
+    np.testing.assert_allclose(lsm_indicator(F, grid, alpha).values, expected, rtol=1e-10)
+
+
 def test_indicator_monotone_in_alpha(disk_F):
     # ||g_z|| is non-increasing in alpha, so 1/||g_z||^2 is non-decreasing.
     grid = small_grid(res=16)
