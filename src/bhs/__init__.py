@@ -24,11 +24,8 @@ from .exceptions import (
 from .geometry import BoundaryDiscretization, ParametricCurve, discretize, make_named_curve, translate
 from .grids import IndicatorMap, SamplingGrid
 from .forward import (
-    BoundaryData,
     ClampedSolver,
     FarFieldMatrix,
-    LayerDensities,
-    PlaneWave,
     add_noise,
     analytic_disk_far_field,
     assemble_system,
@@ -37,13 +34,11 @@ from .forward import (
     far_field,
     far_field_columns,
     far_field_matrix,
-    herglotz_wave,
     plane_wave_data,
     reciprocity_residual,
-    solve_clamped,
 )
 from .linalg import TikhonovFactorization, spectral_norm, tikhonov_solve
-from .lsm import classify, lsm_indicator, morozov_alpha, phi_infinity_rhs
+from .lsm import classify, lsm_indicator, phi_infinity_rhs
 from .esm import (
     DiskKernel,
     EsmConfig,

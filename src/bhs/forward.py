@@ -63,22 +63,17 @@ from .geometry import BoundaryDiscretization, ParametricCurve, discretize
 from .linalg import spectral_norm
 
 __all__ = [
-    "PlaneWave",
-    "BoundaryData",
-    "LayerDensities",
     "FarFieldMatrix",
     "equiangular_directions",
     "plane_wave_data",
     "assemble_system",
     "ClampedSolver",
-    "solve_clamped",
     "evaluate_scattered",
     "far_field",
     "far_field_matrix",
     "far_field_columns",
     "reciprocity_residual",
     "add_noise",
-    "herglotz_wave",
     "analytic_disk_far_field",
 ]
 
@@ -93,46 +88,6 @@ _LU_SOLVE_LOCK = threading.Lock()
 # ---------------------------------------------------------------------------
 # Data containers
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class PlaneWave:
-    """Incident plane wave e^{i kappa x.d} with unit direction d."""
-
-    kappa: float
-    direction: np.ndarray
-
-    def __post_init__(self):
-        if self.kappa <= 0.0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        d = np.asarray(self.direction, dtype=float).reshape(2)
-        if abs(np.hypot(d[0], d[1]) - 1.0) > 1e-14:
-            raise ValueError("incident direction must be a unit vector")
-        object.__setattr__(self, "direction", d)
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Clamped boundary data (h1, h2): value trace and normal-derivative trace."""
-
-    h1: np.ndarray  # (m,) complex
-    h2: np.ndarray  # (m,) complex
-
-    def __post_init__(self):
-        h1 = np.asarray(self.h1, dtype=np.complex128)
-        h2 = np.asarray(self.h2, dtype=np.complex128)
-        if h1.shape != h2.shape or h1.ndim != 1:
-            raise ValueError("h1 and h2 must be 1-d arrays of equal length")
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
-
-
-@dataclass(frozen=True)
-class LayerDensities:
-    """Single-layer densities at the nodes: Helmholtz phiH and modified phiM."""
-
-    helmholtz: np.ndarray  # (m,) complex
-    modified: np.ndarray   # (m,) complex
-
-
 @dataclass(frozen=True)
 class FarFieldMatrix:
     """Discrete far-field operator F[i, j] = u_inf(xhat_i, d_j) at one wavenumber.
@@ -163,10 +118,18 @@ def equiangular_directions(N: int) -> np.ndarray:
     return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
-def plane_wave_data(disc: BoundaryDiscretization, wave: PlaneWave) -> BoundaryData:
-    """Clamped scattering data h1 = -u_inc, h2 = -du_inc/dnu at the nodes."""
-    phase = np.exp(1j * wave.kappa * (disc.nodes @ wave.direction))
-    return BoundaryData(h1=-phase, h2=-1j * wave.kappa * (disc.normals @ wave.direction) * phase)
+def plane_wave_data(disc: BoundaryDiscretization, kappa: float, directions):
+    """Clamped scattering data h1 = -u_inc, h2 = -du_inc/dnu of plane waves e^{i kappa x.d_j}.
+
+    ``directions`` holds the unit vectors d_j, shape (J, 2) (a single (2,)
+    vector counts as J = 1). Returns h1 and h2, each of shape (m, J), one
+    column per incident wave.
+    """
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    if np.any(np.abs(np.hypot(directions[:, 0], directions[:, 1]) - 1.0) > 1e-14):
+        raise ValueError("incident directions must be unit vectors")
+    phase = np.exp(1j * kappa * (disc.nodes @ directions.T))      # (m, J)
+    return -phase, -1j * kappa * (disc.normals @ directions.T) * phase
 
 
 # ---------------------------------------------------------------------------
@@ -315,28 +278,26 @@ class ClampedSolver:
             )
 
     def solve_columns(self, h1: np.ndarray, h2: np.ndarray):
-        """Solve for density columns; h1, h2 have shape (m,) or (m, J)."""
+        """Solve for the densities of boundary-data columns.
+
+        h1, h2 have shape (m,) or (m, J). Returns (phiH, phiM), the
+        Helmholtz and modified densities, each of shape (m, J).
+        """
         rhs = np.concatenate([np.atleast_2d(h1.T).T, np.atleast_2d(h2.T).T], axis=0)
         with _LU_SOLVE_LOCK:
             sol = sla.lu_solve(self._lu, rhs.astype(np.complex128), check_finite=False)
         m = self.disc.node_count
         return sol[:m], sol[m:]
 
-    def solve(self, data: BoundaryData) -> LayerDensities:
-        phiH, phiM = self.solve_columns(data.h1, data.h2)
-        return LayerDensities(helmholtz=phiH.ravel(), modified=phiM.ravel())
-
-
-def solve_clamped(disc: BoundaryDiscretization, kappa: float, data: BoundaryData) -> LayerDensities:
-    """One-shot solve of the clamped system for a single set of boundary data."""
-    return ClampedSolver(disc, kappa).solve(data)
-
 
 # ---------------------------------------------------------------------------
 # Field evaluation and far fields
 # ---------------------------------------------------------------------------
-def evaluate_scattered(dens: LayerDensities, disc: BoundaryDiscretization, kappa: float, x):
-    """Scattered field components (uS, uH, uM) at an exterior point.
+def evaluate_scattered(phiH: np.ndarray, phiM: np.ndarray, disc: BoundaryDiscretization,
+                       kappa: float, x):
+    """Scattered field components (uS, uH, uM) at an exterior point x.
+
+    phiH and phiM are one column of densities, each of shape (m,).
 
     Plain trapezoid quadrature of the layer potentials; the point must be
     at least two node spacings away from the boundary for that to be
@@ -352,27 +313,28 @@ def evaluate_scattered(dens: LayerDensities, disc: BoundaryDiscretization, kappa
             f"evaluation point {x.tolist()} is within two node spacings of the boundary"
         )
     wj = disc.jacobians * disc.weight
-    uH = np.sum(0.25j * _sp.hankel1(0, kappa * dist) * dens.helmholtz * wj)
-    uM = np.sum((0.5 / np.pi) * _sp.kv(0, kappa * dist) * dens.modified * wj)
+    uH = np.sum(0.25j * _sp.hankel1(0, kappa * dist) * phiH * wj)
+    uM = np.sum((0.5 / np.pi) * _sp.kv(0, kappa * dist) * phiM * wj)
     return uH + uM, complex(uH), complex(uM)
 
 
-def far_field(dens: LayerDensities, disc: BoundaryDiscretization, kappa: float, xhat) -> complex:
-    """Far-field pattern u_inf(xhat) of the scattered field.
+def far_field(phiH: np.ndarray, disc: BoundaryDiscretization, kappa: float, xhat) -> np.ndarray:
+    """Far-field patterns u_inf(xhat_i) of Helmholtz density columns.
 
-    Only the Helmholtz density radiates; the modified component is
-    evanescent and is dropped exactly.
+    ``phiH`` has shape (m, J), one density column per incident wave;
+    ``xhat`` holds the observation unit vectors, shape (N, 2) (a single
+    (2,) vector counts as N = 1). Returns the (N, J) complex array of
+    u_inf(xhat_i) for each column. Only the Helmholtz density radiates; the
+    modified component is evanescent and is dropped exactly.
     """
-    xhat = np.asarray(xhat, dtype=float).reshape(2)
-    if abs(np.hypot(xhat[0], xhat[1]) - 1.0) > 1e-12:
-        raise ValueError("xhat must be a unit vector")
-    wj = disc.jacobians * disc.weight
-    return complex(np.sum(np.exp(-1j * kappa * (disc.nodes @ xhat)) * dens.helmholtz * wj))
-
-
-def _far_field_from_columns(disc, kappa, phiH_cols, obs_dirs):
-    E = np.exp(-1j * kappa * (obs_dirs @ disc.nodes.T))  # (N, m)
-    return E @ (phiH_cols * (disc.jacobians[:, None] * disc.weight))
+    phiH = np.asarray(phiH)
+    if phiH.ndim != 2:
+        raise ValueError(f"phiH must have shape (m, J), got {phiH.shape}")
+    xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
+    if np.any(np.abs(np.hypot(xhat[:, 0], xhat[:, 1]) - 1.0) > 1e-12):
+        raise ValueError("observation directions must be unit vectors")
+    E = np.exp(-1j * kappa * (xhat @ disc.nodes.T))  # (N, m)
+    return E @ (phiH * (disc.jacobians[:, None] * disc.weight))
 
 
 def far_field_columns(curve: ParametricCurve, kappa: float, obs_count: int,
@@ -387,14 +349,9 @@ def far_field_columns(curve: ParametricCurve, kappa: float, obs_count: int,
     -------
     (obs_count, J) complex ndarray
     """
-    incident_dirs = np.atleast_2d(np.asarray(incident_dirs, dtype=float))
     disc = discretize(curve, n)
-    solver = ClampedSolver(disc, kappa)
-    phase = np.exp(1j * kappa * (disc.nodes @ incident_dirs.T))      # (m, J)
-    h1 = -phase
-    h2 = -1j * kappa * (disc.normals @ incident_dirs.T) * phase
-    phiH, _ = solver.solve_columns(h1, h2)
-    return _far_field_from_columns(disc, kappa, phiH, equiangular_directions(obs_count))
+    phiH, _ = ClampedSolver(disc, kappa).solve_columns(*plane_wave_data(disc, kappa, incident_dirs))
+    return far_field(phiH, disc, kappa, equiangular_directions(obs_count))
 
 
 def far_field_matrix(curve: ParametricCurve, kappa: float, N: int, n: int = 128) -> FarFieldMatrix:
@@ -441,17 +398,6 @@ def add_noise(F: FarFieldMatrix, delta: float, seed: int) -> FarFieldMatrix:
     E = rng.uniform(-1.0, 1.0, (N, N)) + 1j * rng.uniform(-1.0, 1.0, (N, N))
     E /= spectral_norm(E)
     return FarFieldMatrix(kappa=F.kappa, entries=F.entries * (1.0 + delta * E))
-
-
-def herglotz_wave(g: np.ndarray, kappa: float, x) -> complex:
-    """Herglotz wave function v_g(x), trapezoid rule on the direction grid.
-
-    v_g(x) = (2 pi / N) sum_j e^{i kappa x.d_j} g_j.
-    """
-    g = np.asarray(g, dtype=np.complex128)
-    dirs = equiangular_directions(len(g))
-    x = np.asarray(x, dtype=float).reshape(2)
-    return complex((2.0 * np.pi / len(g)) * np.sum(np.exp(1j * kappa * (dirs @ x)) * g))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["filter_factors", "tikhonov_solve", "TikhonovFactorization", "spectral_norm"]
+__all__ = ["tikhonov_solve", "TikhonovFactorization", "spectral_norm"]
 
 
 def _check_matrix(A: np.ndarray) -> np.ndarray:
@@ -25,11 +25,6 @@ def _check_matrix(A: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise ValueError("matrix contains non-finite entries")
     return A
-
-
-def filter_factors(sigma: np.ndarray, alpha: float) -> np.ndarray:
-    """Tikhonov filter factors sigma / (sigma^2 + alpha) of the singular values."""
-    return sigma / (sigma**2 + alpha)
 
 
 class TikhonovFactorization:
@@ -48,8 +43,9 @@ class TikhonovFactorization:
         A = _check_matrix(A)
         self.alpha = float(alpha)
         u, sigma, vh = np.linalg.svd(A, full_matrices=False)
-        # Rows of U* pre-scaled by the filter factors: f o U* b in one product.
-        self._filtered_uh = filter_factors(sigma, self.alpha)[:, None] * u.conj().T
+        # Rows of U* pre-scaled by the filter factors f = sigma / (sigma^2 + alpha):
+        # f o U* b in one product.
+        self._filtered_uh = (sigma / (sigma**2 + self.alpha))[:, None] * u.conj().T
         self._v = vh.conj().T
 
     def solve(self, b: np.ndarray) -> np.ndarray:

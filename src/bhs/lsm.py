@@ -10,7 +10,7 @@ is the far-field pattern of the outgoing fundamental solution of the
 flexural-wave operator with source at z. The indicator 1/||g_z||^2 is
 large inside the cavity and small outside. F does not depend on z, so one
 SVD of F serves the whole grid (||g_z|| = ||f o U* Phi_inf(., z)|| with the
-Tikhonov filter factors f) and, in the Morozov search, every alpha.
+Tikhonov filter factors f).
 
 On a sampling grid e^{-i kappa xhat.z} = ex[:, ix] ey[:, iy] with
 ex = e^{-i kappa xhat_1 xs} (N, nx) and ey = e^{-i kappa xhat_2 ys} (N, ny), so
@@ -21,20 +21,15 @@ and holds O(N (nx + ny) + N nx + nx ny) values, never an (N, nx ny) block.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .forward import FarFieldMatrix, equiangular_directions
 from .grids import IndicatorMap, SamplingGrid
-from .linalg import TikhonovFactorization, filter_factors
+from .linalg import TikhonovFactorization
 
-__all__ = ["phi_infinity_rhs", "lsm_indicator", "morozov_alpha", "MorozovResult", "classify"]
+__all__ = ["phi_infinity_rhs", "lsm_indicator", "classify"]
 
 DEFAULT_ALPHA = 1e-6
-
-_MOROZOV_LOG_BRACKET = (-14.0, 2.0)
-_MOROZOV_ITERATIONS = 60
 
 
 def phi_infinity_rhs(z, kappa: float, N: int) -> np.ndarray:
@@ -76,48 +71,6 @@ def lsm_indicator(F: FarFieldMatrix, grid: SamplingGrid, alpha: float = DEFAULT_
     if meta:
         info.update(meta)
     return IndicatorMap(grid=grid, values=values, meta=info)
-
-
-class MorozovResult(NamedTuple):
-    alpha: float
-    converged: bool
-
-
-def morozov_alpha(F: FarFieldMatrix, rhs: np.ndarray, delta: float) -> MorozovResult:
-    """Discrepancy-principle choice of the Tikhonov parameter.
-
-    Finds alpha with ||F g_alpha - rhs|| = delta ||F||_2 ||g_alpha|| by
-    bisection on log10(alpha) over [-14, 2] (60 iterations). The residual
-    grows and ||g_alpha|| shrinks as alpha increases, so the discrepancy
-    gap is monotone. If the bracket shows no sign change the fixed default
-    1e-6 is returned with ``converged=False``.
-
-    One SVD F = U diag(sigma) V* serves the whole search: with beta = U* rhs
-    and filter factors f, ||g_alpha|| = ||f o beta||, the residual is
-    ||(sigma f - 1) o beta|| (F is square, so U is unitary) and
-    ||F||_2 = sigma_max, so each bisection step costs O(N).
-    """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    u, sigma, _ = np.linalg.svd(F.entries)
-    beta = u.conj().T @ np.asarray(rhs, dtype=np.complex128)
-
-    def gap(log_alpha: float) -> float:
-        f = filter_factors(sigma, 10.0**log_alpha)
-        residual = np.linalg.norm((sigma * f - 1.0) * beta)
-        return residual - delta * sigma[0] * np.linalg.norm(f * beta)
-
-    lo, hi = _MOROZOV_LOG_BRACKET
-    glo, ghi = gap(lo), gap(hi)
-    if glo > 0.0 or ghi < 0.0:
-        return MorozovResult(alpha=DEFAULT_ALPHA, converged=False)
-    for _ in range(_MOROZOV_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return MorozovResult(alpha=10.0 ** (0.5 * (lo + hi)), converged=True)
 
 
 def classify(indicator: IndicatorMap, zeta: float) -> np.ndarray:

@@ -13,7 +13,8 @@ Recognized keys (defaults in parentheses):
     scale           similarity factor (1)
     kappa           wavenumber; required unless multi-frequency or reading
                     farfield_in, whose file sets it (giving both is an error)
-    kappa_min, kappa_max, L   uniform multi-frequency grid (mode=esm only; L=1)
+    kappa_min, kappa_max, L   uniform multi-frequency grid (mode=esm only, and
+                    kappa_min/kappa_max only with L > 1; L=1)
     N               direction count (32)
     n               boundary quadrature parameter, power of two (128)
     delta           relative noise level (0); forward and lsm data only
@@ -225,6 +226,10 @@ def _validate(s: Scenario, lines_of: dict) -> None:
                 _fail("kappa_max", where("kappa_max"), "must exceed kappa_min")
             if s.farfield_in is not None:
                 _fail("farfield_in", where("farfield_in"), "multi-frequency runs synthesize data")
+        else:
+            for key in ("kappa_min", "kappa_max"):
+                if getattr(s, key) is not None:
+                    _fail(key, where(key), "applies to multi-frequency runs (L > 1) only")
     elif s.mode == "esm-multilevel" and s.R0 is None:
         _fail("R0", 0, "required for mode=esm-multilevel")
     multi_frequency = s.mode == "esm" and s.L > 1

@@ -74,6 +74,12 @@ def test_parse_comments_and_duplicates():
         ("mode=forward\nshape=apple\nkappa=1\nR=3\n", "key 'R' \\(line 4\\)"),
         ("mode=esm\nshape=apple\nkappa=1\nR=0.5\nR0=3\n", "key 'R0' \\(line 5\\)"),
         ("mode=lsm\nshape=apple\nkappa=1\nR0=3\n", "key 'R0' \\(line 4\\)"),
+        # A single-frequency ESM run uses kappa and would only record the range.
+        ("mode=esm\nshape=apple\nkappa=1\nR=1\nkappa_min=2\nkappa_max=3\n",
+         "key 'kappa_min' \\(line 5\\)"),
+        ("mode=esm\nshape=apple\nkappa=1\nR=1\nkappa_max=3\n", "key 'kappa_max' \\(line 5\\)"),
+        ("mode=esm\nshape=apple\nkappa=1\nR=1\nL=1\nkappa_min=2\n",
+         "key 'kappa_min' \\(line 6\\)"),
     ],
 )
 def test_parse_errors_name_the_key(text, needle):

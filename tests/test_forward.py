@@ -9,7 +9,6 @@ from bhs.exceptions import IllConditionedSystemError, NearBoundaryError
 from bhs.forward import (
     ClampedSolver,
     FarFieldMatrix,
-    PlaneWave,
     add_noise,
     analytic_disk_far_field,
     assemble_system,
@@ -18,10 +17,8 @@ from bhs.forward import (
     far_field,
     far_field_columns,
     far_field_matrix,
-    herglotz_wave,
     plane_wave_data,
     reciprocity_residual,
-    solve_clamped,
 )
 from bhs.geometry import discretize, make_named_curve
 
@@ -33,12 +30,11 @@ def circle_disc():
 
 @pytest.fixture(scope="module")
 def apple_solution():
-    """Apple at kappa = pi: discretization, solver, plane-wave densities."""
+    """Apple at kappa = pi: discretization and the (m,) plane-wave densities phiH, phiM."""
     disc = discretize(make_named_curve("apple"), 128)
     kappa = np.pi
-    solver = ClampedSolver(disc, kappa)
-    dens = solver.solve(plane_wave_data(disc, PlaneWave(kappa, (1.0, 0.0))))
-    return disc, kappa, dens
+    phiH, phiM = ClampedSolver(disc, kappa).solve_columns(*plane_wave_data(disc, kappa, (1.0, 0.0)))
+    return disc, kappa, phiH[:, 0], phiM[:, 0]
 
 
 def rotation(angle):
@@ -88,38 +84,33 @@ def test_modified_single_layer_constant_density_oracle():
 # Solve properties
 # ---------------------------------------------------------------------------
 def test_zero_data_zero_densities(circle_disc):
-    from bhs.forward import BoundaryData
-
     m = circle_disc.node_count
-    dens = solve_clamped(circle_disc, np.pi, BoundaryData(np.zeros(m), np.zeros(m)))
-    assert np.max(np.abs(dens.helmholtz)) == 0.0
-    assert np.max(np.abs(dens.modified)) == 0.0
+    phiH, phiM = ClampedSolver(circle_disc, np.pi).solve_columns(np.zeros(m), np.zeros(m))
+    assert np.max(np.abs(phiH)) == 0.0
+    assert np.max(np.abs(phiM)) == 0.0
 
 
 def test_solver_linearity(circle_disc):
-    from bhs.forward import BoundaryData
-
     rng = np.random.default_rng(42)
     m = circle_disc.node_count
     solver = ClampedSolver(circle_disc, np.pi)
-    d1 = BoundaryData(*(rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))))
-    d2 = BoundaryData(*(rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))))
+    d1 = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    d2 = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
     c = 1.7 - 0.6j
-    combo = BoundaryData(d1.h1 + c * d2.h1, d1.h2 + c * d2.h2)
-    lhs = solver.solve(combo)
-    r1, r2 = solver.solve(d1), solver.solve(d2)
-    scale = np.max(np.abs(lhs.helmholtz))
-    assert np.max(np.abs(lhs.helmholtz - (r1.helmholtz + c * r2.helmholtz))) < 1e-12 * scale
-    assert np.max(np.abs(lhs.modified - (r1.modified + c * r2.modified))) < 1e-12 * scale
+    lhsH, lhsM = solver.solve_columns(*(d1 + c * d2))
+    (h1, m1), (h2, m2) = solver.solve_columns(*d1), solver.solve_columns(*d2)
+    scale = np.max(np.abs(lhsH))
+    assert np.max(np.abs(lhsH - (h1 + c * h2))) < 1e-12 * scale
+    assert np.max(np.abs(lhsM - (m1 + c * m2))) < 1e-12 * scale
 
 
 def test_solve_residual_contract(circle_disc):
     kappa = np.pi
-    data = plane_wave_data(circle_disc, PlaneWave(kappa, (0.6, 0.8)))
-    dens = solve_clamped(circle_disc, kappa, data)
+    h1, h2 = plane_wave_data(circle_disc, kappa, (0.6, 0.8))
+    phiH, phiM = ClampedSolver(circle_disc, kappa).solve_columns(h1, h2)
     A = assemble_system(circle_disc, kappa)
-    sol = np.concatenate([dens.helmholtz, dens.modified])
-    rhs = np.concatenate([data.h1, data.h2])
+    sol = np.concatenate([phiH, phiM])
+    rhs = np.concatenate([h1, h2])
     assert np.linalg.norm(A @ sol - rhs) < 1e-10 * np.linalg.norm(rhs)
 
 
@@ -129,31 +120,27 @@ def test_solve_residual_contract(circle_disc):
 def test_disk_far_field_matches_mode_matching(circle_disc):
     kappa = np.pi
     d = np.array([1.0, 0.0])
-    dens = solve_clamped(circle_disc, kappa, plane_wave_data(circle_disc, PlaneWave(kappa, d)))
-    errs = []
-    for xhat in equiangular_directions(64):
-        errs.append(abs(far_field(dens, circle_disc, kappa, xhat)
-                        - analytic_disk_far_field(1.0, kappa, d, xhat)))
+    phiH, _ = ClampedSolver(circle_disc, kappa).solve_columns(*plane_wave_data(circle_disc, kappa, d))
+    xhats = equiangular_directions(64)
+    computed = far_field(phiH, circle_disc, kappa, xhats)[:, 0]
+    errs = [abs(u - analytic_disk_far_field(1.0, kappa, d, xhat)) for u, xhat in zip(computed, xhats)]
     assert max(errs) < 1e-6
 
 
 def test_far_field_normalization_large_r(circle_disc, apple_solution):
     """u_s(r xhat) sqrt(r) e^{-i k r} sqrt(8 pi k) e^{-i pi/4} -> u_inf as r grows."""
-    disc, kappa, dens = apple_solution
+    disc, kappa, phiH, phiM = apple_solution
     xhat = np.array([np.cos(0.7), np.sin(0.7)])
     r = 1e4
-    _, uH, _ = evaluate_scattered(dens, disc, kappa, r * xhat)
+    _, uH, _ = evaluate_scattered(phiH, phiM, disc, kappa, r * xhat)
     limit = uH * np.sqrt(r) * np.exp(-1j * kappa * r) * np.sqrt(8 * np.pi * kappa) * np.exp(-1j * np.pi / 4)
-    direct = far_field(dens, disc, kappa, xhat)
+    direct = far_field(phiH[:, None], disc, kappa, xhat)[0, 0]
     assert abs(limit - direct) / abs(direct) < 1e-3
 
 
 def test_far_field_zero_density(circle_disc):
-    from bhs.forward import LayerDensities
-
     m = circle_disc.node_count
-    dens = LayerDensities(np.zeros(m, complex), np.zeros(m, complex))
-    assert far_field(dens, circle_disc, np.pi, (1.0, 0.0)) == 0.0
+    assert far_field(np.zeros((m, 1), complex), circle_disc, np.pi, (1.0, 0.0))[0, 0] == 0.0
 
 
 def test_circle_far_field_rotation_symmetry(circle_disc):
@@ -161,10 +148,11 @@ def test_circle_far_field_rotation_symmetry(circle_disc):
     Q = rotation(np.pi / 7)
     d = np.array([1.0, 0.0])
     xhat = np.array([np.cos(2.1), np.sin(2.1)])
-    dens1 = solve_clamped(circle_disc, kappa, plane_wave_data(circle_disc, PlaneWave(kappa, d)))
-    dens2 = solve_clamped(circle_disc, kappa, plane_wave_data(circle_disc, PlaneWave(kappa, Q @ d)))
-    v1 = far_field(dens1, circle_disc, kappa, xhat)
-    v2 = far_field(dens2, circle_disc, kappa, Q @ xhat)
+    solver = ClampedSolver(circle_disc, kappa)
+    phiH1, _ = solver.solve_columns(*plane_wave_data(circle_disc, kappa, d))
+    phiH2, _ = solver.solve_columns(*plane_wave_data(circle_disc, kappa, Q @ d))
+    v1 = far_field(phiH1, circle_disc, kappa, xhat)[0, 0]
+    v2 = far_field(phiH2, circle_disc, kappa, Q @ xhat)[0, 0]
     assert abs(v1 - v2) < 1e-8
 
 
@@ -199,25 +187,23 @@ def test_reciprocity_apple(apple_solution):
 
 
 def test_far_field_columns_off_grid_direction():
-    """Columns for arbitrary incident directions match dedicated solves."""
-    curve = make_named_curve("peanut")
+    """A column for an incident direction off the observation grid matches the disk oracle."""
     kappa = 2 * np.pi
     d0 = np.array([np.cos(np.pi / 3), np.sin(np.pi / 3)])
-    cols = far_field_columns(curve, kappa, 40, d0[None, :], n=128)
-    disc = discretize(curve, 128)
-    dens = solve_clamped(disc, kappa, plane_wave_data(disc, PlaneWave(kappa, d0)))
-    expected = np.array([far_field(dens, disc, kappa, xh) for xh in equiangular_directions(40)])
-    np.testing.assert_allclose(cols[:, 0], expected, atol=1e-10)
+    cols = far_field_columns(make_named_curve("circle"), kappa, 40, d0[None, :], n=128)
+    expected = np.array([analytic_disk_far_field(1.0, kappa, d0, xh)
+                         for xh in equiangular_directions(40)])
+    np.testing.assert_allclose(cols[:, 0], expected, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
 # Physics checks
 # ---------------------------------------------------------------------------
 def test_evanescent_component_decay(apple_solution):
-    disc, kappa, dens = apple_solution
+    disc, kappa, phiH, phiM = apple_solution
     for xhat in equiangular_directions(8):
-        _, _, uM5 = evaluate_scattered(dens, disc, kappa, 5.0 * xhat)
-        _, _, uM10 = evaluate_scattered(dens, disc, kappa, 10.0 * xhat)
+        _, _, uM5 = evaluate_scattered(phiH, phiM, disc, kappa, 5.0 * xhat)
+        _, _, uM10 = evaluate_scattered(phiH, phiM, disc, kappa, 10.0 * xhat)
         assert abs(uM10) < abs(uM5) * np.exp(-4.0 * kappa)
 
 
@@ -227,31 +213,31 @@ def test_clamped_boundary_consistency():
     kappa = np.pi
     disc = discretize(make_named_curve("circle"), 512)
     d = np.array([1.0, 0.0])
-    dens = solve_clamped(disc, kappa, plane_wave_data(disc, PlaneWave(kappa, d)))
+    phiH, phiM = ClampedSolver(disc, kappa).solve_columns(*plane_wave_data(disc, kappa, d))
     offset = 0.0125
     for t in (0.4, 2.0, 4.4):
         point = np.array([np.cos(t), np.sin(t)]) * (1.0 + offset)
-        uS, _, _ = evaluate_scattered(dens, disc, kappa, point)
+        uS, _, _ = evaluate_scattered(phiH[:, 0], phiM[:, 0], disc, kappa, point)
         total = np.exp(1j * kappa * point @ d) + uS
         assert abs(total) < 0.1
 
 
 def test_radiation_condition(apple_solution):
-    disc, kappa, dens = apple_solution
+    disc, kappa, phiH, phiM = apple_solution
     xhat = np.array([np.cos(1.1), np.sin(1.1)])
     r, h = 200.0, 1e-3
-    _, uH_plus, _ = evaluate_scattered(dens, disc, kappa, (r + h) * xhat)
-    _, uH_minus, _ = evaluate_scattered(dens, disc, kappa, (r - h) * xhat)
-    _, uH, _ = evaluate_scattered(dens, disc, kappa, r * xhat)
+    _, uH_plus, _ = evaluate_scattered(phiH, phiM, disc, kappa, (r + h) * xhat)
+    _, uH_minus, _ = evaluate_scattered(phiH, phiM, disc, kappa, (r - h) * xhat)
+    _, uH, _ = evaluate_scattered(phiH, phiM, disc, kappa, r * xhat)
     radial = (uH_plus - uH_minus) / (2 * h)
     assert abs(np.sqrt(r) * (radial - 1j * kappa * uH)) < 1e-2 * abs(uH * np.sqrt(r))
 
 
 def test_near_boundary_rejected(circle_disc):
-    dens = solve_clamped(circle_disc, np.pi,
-                         plane_wave_data(circle_disc, PlaneWave(np.pi, (1.0, 0.0))))
+    solver = ClampedSolver(circle_disc, np.pi)
+    phiH, phiM = solver.solve_columns(*plane_wave_data(circle_disc, np.pi, (1.0, 0.0)))
     with pytest.raises(NearBoundaryError):
-        evaluate_scattered(dens, circle_disc, np.pi, (1.001, 0.0))
+        evaluate_scattered(phiH[:, 0], phiM[:, 0], circle_disc, np.pi, (1.001, 0.0))
 
 
 def test_spurious_resonance_detected():
@@ -307,13 +293,6 @@ def test_add_noise_deterministic():
 # ---------------------------------------------------------------------------
 # Herglotz superposition
 # ---------------------------------------------------------------------------
-def test_herglotz_point_values():
-    N = 32
-    g = np.full(N, 1.0 / (2 * np.pi))
-    assert herglotz_wave(g, np.pi, (0.0, 0.0)) == pytest.approx(1.0, abs=1e-14)
-    assert herglotz_wave(np.zeros(N), np.pi, (0.3, 0.4)) == 0.0
-
-
 def test_herglotz_superposition(circle_disc):
     """Far field of the v_g scattering problem equals (2 pi / N) F g."""
     kappa = np.pi
@@ -323,12 +302,10 @@ def test_herglotz_superposition(circle_disc):
     dirs = equiangular_directions(N)
     phases = np.exp(1j * kappa * (circle_disc.nodes @ dirs.T))       # (m, N)
     w = 2 * np.pi / N
-    from bhs.forward import BoundaryData
-
     h1 = -w * phases @ g
     h2 = -w * (1j * kappa * (circle_disc.normals @ dirs.T) * phases) @ g
-    dens = solve_clamped(circle_disc, kappa, BoundaryData(h1, h2))
-    lhs = np.array([far_field(dens, circle_disc, kappa, xh) for xh in dirs])
+    phiH, _ = ClampedSolver(circle_disc, kappa).solve_columns(h1, h2)
+    lhs = far_field(phiH, circle_disc, kappa, dirs)[:, 0]
     F = far_field_matrix(make_named_curve("circle"), kappa, N, n=128)
     np.testing.assert_allclose(lhs, w * F.entries @ g, atol=1e-8)
 
@@ -374,27 +351,25 @@ def test_concurrent_column_solves(circle_disc):
 
     kappa = np.pi
     solver = ClampedSolver(circle_disc, kappa)
-    waves = [PlaneWave(kappa, (np.cos(th), np.sin(th))) for th in np.linspace(0, 2, 8)]
-    datas = [plane_wave_data(circle_disc, w) for w in waves]
-    serial = [solver.solve(d).helmholtz for d in datas]
+    th = np.linspace(0, 2, 8)
+    h1, h2 = plane_wave_data(circle_disc, kappa, np.stack([np.cos(th), np.sin(th)], axis=-1))
+    datas = [(h1[:, j], h2[:, j]) for j in range(len(th))]
+    serial = [solver.solve_columns(*d)[0] for d in datas]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(lambda d: solver.solve(d).helmholtz, datas))
+        threaded = list(pool.map(lambda d: solver.solve_columns(*d)[0], datas))
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)
 
 
 def test_input_validation():
+    disc = discretize(make_named_curve("circle"), 16)
     with pytest.raises(ValueError):
-        PlaneWave(np.pi, (1.0, 1.0))
+        plane_wave_data(disc, np.pi, (1.0, 1.0))
     with pytest.raises(ValueError):
-        PlaneWave(-1.0, (1.0, 0.0))
+        ClampedSolver(disc, -1.0)
     with pytest.raises(ValueError):
         far_field_matrix(make_named_curve("circle"), np.pi, 7)
     with pytest.raises(ValueError):
         analytic_disk_far_field(-1.0, np.pi, (1, 0), (0, 1))
-    disc = discretize(make_named_curve("circle"), 16)
-    from bhs.forward import LayerDensities
-
-    dens = LayerDensities(np.zeros(32, complex), np.zeros(32, complex))
     with pytest.raises(ValueError):
-        far_field(dens, disc, np.pi, (0.5, 0.5))
+        far_field(np.zeros((32, 1), complex), disc, np.pi, (0.5, 0.5))

@@ -1,4 +1,4 @@
-"""Linear sampling method: right-hand sides, indicator, Morozov, classification."""
+"""Linear sampling method: right-hand sides, indicator, classification."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from bhs.forward import FarFieldMatrix, add_noise, far_field_matrix
 from bhs.geometry import make_named_curve
 from bhs.grids import IndicatorMap, SamplingGrid
-from bhs.lsm import MorozovResult, classify, lsm_indicator, morozov_alpha, phi_infinity_rhs
+from bhs.lsm import classify, lsm_indicator, phi_infinity_rhs
 
 
 @pytest.fixture(scope="module")
@@ -139,55 +139,6 @@ def test_concurrent_per_point_solves_match_batched_map(disk_F):
     # block and single-column BLAS paths accumulate differently; 1e-6 is tight
     # for route equivalence while far from any indicator-scale feature
     np.testing.assert_allclose(per_point, batched, rtol=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# Morozov discrepancy principle
-# ---------------------------------------------------------------------------
-def test_morozov_satisfies_discrepancy_equation():
-    rng = np.random.default_rng(3)
-    entries = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    F = FarFieldMatrix(kappa=np.pi, entries=entries)
-    rhs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    delta = 0.05
-    result = morozov_alpha(F, rhs, delta)
-    assert result.converged
-    from bhs.linalg import spectral_norm, tikhonov_solve
-
-    g = tikhonov_solve(entries, rhs, result.alpha)
-    lhs = np.linalg.norm(entries @ g - rhs)
-    target = delta * spectral_norm(entries) * np.linalg.norm(g)
-    assert lhs == pytest.approx(target, rel=1e-6)
-
-
-def test_morozov_small_delta_limit():
-    rng = np.random.default_rng(4)
-    entries = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    F = FarFieldMatrix(kappa=np.pi, entries=entries)
-    rhs = entries @ (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    result = morozov_alpha(F, rhs, 1e-13)
-    # consistent data and a vanishing noise level push alpha to the bracket floor
-    assert result.alpha < 1e-10
-
-
-def test_morozov_fallback_flag():
-    # For F = I the discrepancy root sits at alpha = delta; delta = 200 pushes
-    # it beyond the log-bracket ceiling of 1e2, so no sign change exists.
-    F = FarFieldMatrix(kappa=np.pi, entries=np.eye(4, dtype=complex))
-    result = morozov_alpha(F, np.ones(4, dtype=complex), 200.0)
-    assert not result.converged
-    assert result.alpha == 1e-6
-
-
-def test_morozov_noiseless_peanut_returns_result():
-    # Noiseless data: the rounding level of F* F (eps sigma_max^2 ~ 3e-12) is
-    # far above the bracket floor alpha = 1e-14, so alpha I + F* F is not
-    # numerically positive definite there. The search must still finish.
-    F = far_field_matrix(make_named_curve("peanut"), 2 * np.pi, 32, n=128)
-    rhs = phi_infinity_rhs((0.0, 0.0), F.kappa, F.size)
-    result = morozov_alpha(F, rhs, 1e-3)
-    assert isinstance(result, MorozovResult)
-    assert 1e-14 <= result.alpha <= 1e2
 
 
 # ---------------------------------------------------------------------------
