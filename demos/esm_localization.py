@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bhs import EsmConfig, SamplingGrid, esm_indicator, far_field_columns, make_named_curve, multilevel_esm
+from bhs import SamplingGrid, esm_indicator, far_field_columns, make_named_curve, multilevel_esm
 from bhs.fileio import write_heatmap
 
 OUT = Path(__file__).parent / "out"
@@ -32,8 +32,7 @@ grid = SamplingGrid(-3, 3, -3, 3, 100, 100)
 for name in ("apple", "peanut", "peach"):
     curve = make_named_curve(name)
     column = far_field_columns(curve, KAPPA, 40, D0[None, :], n=128)[:, 0]
-    cfg = EsmConfig(grid=grid, radius=0.5, wavenumbers=[KAPPA], directions=[np.pi / 3])
-    indicator = esm_indicator(column[None, None, :], cfg)
+    indicator = esm_indicator(column[None, None, :], [KAPPA], grid, radius=0.5)
     z = indicator.argmin_point()
     write_heatmap(OUT / f"esm_{name}.pgm", indicator)
     print(f"  {name:7s}: estimate ({z[0]:+6.3f}, {z[1]:+6.3f}),"

@@ -12,7 +12,7 @@ Run from the repository root:  python demos/esm_multidata.py
 
 import numpy as np
 
-from bhs import EsmConfig, SamplingGrid, esm_indicator, far_field_columns, make_named_curve
+from bhs import SamplingGrid, esm_indicator, far_field_columns, make_named_curve
 
 KAPPA = 2 * np.pi
 CENTER = np.array([-1.5, 1.5])
@@ -26,9 +26,7 @@ def localize(angles, wavenumbers):
     columns = np.asarray(
         [far_field_columns(CURVE, k, 40, dirs, n=128).T for k in wavenumbers]
     )
-    cfg = EsmConfig(grid=GRID, radius=RADIUS, wavenumbers=list(wavenumbers),
-                    directions=list(angles), alpha=1e-4)
-    z = esm_indicator(columns, cfg).argmin_point()
+    z = esm_indicator(columns, wavenumbers, GRID, RADIUS, alpha=1e-4).argmin_point()
     return z, np.hypot(*(z - CENTER))
 
 

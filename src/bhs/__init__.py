@@ -21,7 +21,7 @@ from .exceptions import (
     NearBoundaryError,
     OracleError,
 )
-from .geometry import BoundaryDiscretization, ParametricCurve, discretize, make_named_curve, translate
+from .geometry import BoundaryDiscretization, ParametricCurve, discretize, make_named_curve
 from .grids import IndicatorMap, SamplingGrid
 from .forward import (
     ClampedSolver,
@@ -40,8 +40,6 @@ from .forward import (
 from .linalg import TikhonovFactorization, spectral_norm, tikhonov_solve
 from .lsm import classify, lsm_indicator, phi_infinity_rhs
 from .esm import (
-    DiskKernel,
-    EsmConfig,
     LocalizationResult,
     build_disk_kernel,
     disk_far_field,

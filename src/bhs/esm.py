@@ -27,6 +27,11 @@ once per wavenumber: N (nx + ny) exponentials. Each data column b then costs
 one (ny x N) @ (N x nx) product per row of diag(f) U* diag(b) (see
 :meth:`TikhonovFactorization.plane_wave_norms`) and holds O(N (nx + ny) +
 N nx + nx ny) values, never an (N, nx ny) block.
+
+Every entry point takes plain arrays, as :func:`bhs.lsm.lsm_indicator` does:
+``esm_indicator(columns, wavenumbers, grid, radius, alpha, meta)`` with
+columns of shape (L, J, N), one row of J incident directions per wavenumber,
+and ``multilevel_esm(column, kappa, R0, region, alpha)`` for one column.
 """
 
 from __future__ import annotations
@@ -45,8 +50,6 @@ from .linalg import TikhonovFactorization
 
 __all__ = [
     "DEFAULT_ALPHA",
-    "DiskKernel",
-    "EsmConfig",
     "LocalizationResult",
     "disk_far_field",
     "build_disk_kernel",
@@ -99,21 +102,6 @@ def disk_far_field(R: float, kappa: float, theta_x, theta_y) -> complex | np.nda
     return complex(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class DiskKernel:
-    """Precomputed disk far-field matrix U[i, j] on the equiangular grid.
-
-    Circulant (function of (i - j) mod N) and symmetric by construction.
-    ``radius`` is the effective radius after the Dirichlet-eigenvalue guard,
-    which may differ from the requested one by 1 percent.
-    """
-
-    radius: float
-    kappa: float
-    size: int
-    matrix: np.ndarray  # (N, N) complex
-
-
 def _guard_radius(R: float, kappa: float) -> float:
     """Perturb R by 1 percent if kappa^2 sits numerically on a Dirichlet
     eigenvalue of the sampling disk (a zero of some J_n(kappa R)).
@@ -134,50 +122,32 @@ def _guard_radius(R: float, kappa: float) -> float:
     return 1.01 * R
 
 
-def build_disk_kernel(R: float, kappa: float, N: int) -> DiskKernel:
-    """Disk kernel over N directions, with the eigenvalue guard applied."""
+def build_disk_kernel(R: float, kappa: float, N: int) -> np.ndarray:
+    """Disk far-field matrix U[i, j] (N, N) on the equiangular grid.
+
+    Circulant (function of (i - j) mod N) and symmetric by construction. The
+    Dirichlet-eigenvalue guard may enlarge R by 1 percent first.
+    """
+    if R <= 0.0:
+        raise ValueError(f"radius must be > 0, got {R}")
     if N < 2:
         raise ValueError(f"direction count must be >= 2, got {N}")
     R = _guard_radius(R, kappa)
     dth = 2.0 * np.pi * np.arange(N) / N
     row = disk_far_field(R, kappa, dth, 0.0)      # U as a function of theta_x - theta_y
     idx = np.arange(N)
-    U = row[(idx[:, None] - idx[None, :]) % N]
-    return DiskKernel(radius=R, kappa=kappa, size=N, matrix=U)
+    return row[(idx[:, None] - idx[None, :]) % N]
 
 
-def translated_kernel(z, kernel: DiskKernel) -> np.ndarray:
+def translated_kernel(z, U: np.ndarray, kappa: float) -> np.ndarray:
     """Kernel matrix A^z of the disk centered at z: e^{i kappa z.(yhat_j - xhat_i)} U[i, j]."""
     z = np.asarray(z, dtype=float).reshape(2)
-    phase = np.exp(1j * kernel.kappa * (equiangular_directions(kernel.size) @ z))  # (N,)
-    return phase.conj()[:, None] * kernel.matrix * phase[None, :]
+    phase = np.exp(1j * kappa * (equiangular_directions(len(U)) @ z))  # (N,)
+    return phase.conj()[:, None] * U * phase[None, :]
 
 
-@dataclass(frozen=True)
-class EsmConfig:
-    """Parameters of one extended-sampling run.
-
-    ``directions`` are incident angles in radians and ``wavenumbers`` the
-    kappa values; the data passed to :func:`esm_indicator` must provide one
-    far-field column per (wavenumber, direction) pair.
-    """
-
-    grid: SamplingGrid
-    radius: float
-    wavenumbers: Sequence[float]
-    directions: Sequence[float]
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.radius <= 0.0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
-        if len(self.wavenumbers) == 0 or len(self.directions) == 0:
-            raise ValueError("wavenumbers and directions must be nonempty")
-
-
-def esm_indicator(columns, config: EsmConfig, meta: dict | None = None) -> IndicatorMap:
+def esm_indicator(columns, wavenumbers: Sequence[float], grid: SamplingGrid, radius: float,
+                  alpha: float = DEFAULT_ALPHA, meta: dict | None = None) -> IndicatorMap:
     """Normalized localization indicator from one or many far-field columns.
 
     Parameters
@@ -185,43 +155,46 @@ def esm_indicator(columns, config: EsmConfig, meta: dict | None = None) -> Indic
     columns : array-like, shape (L, J, N)
         Far-field data u_inf(xhat_i, d_j; kappa_l) on the equiangular
         observation grid, one column per wavenumber/direction pair.
-    config : EsmConfig
+    wavenumbers : sequence of L floats
+    grid : SamplingGrid
+    radius : float
+        Radius of the sampling disk B_z.
+    alpha : float
+        Tikhonov parameter.
+    meta : dict, optional
+        Extra metadata recorded on the map.
 
     The raw value at z is the sum over all pairs of the regularized
     solution norms; the map is scaled so its maximum is exactly 1 and the
     location estimate is the grid argmin.
     """
     columns = np.asarray(columns, dtype=np.complex128)
-    if columns.ndim == 1:
-        columns = columns[None, None, :]
-    if columns.ndim != 3:
-        raise ValueError(f"columns must have shape (L, J, N), got {columns.shape}")
+    if columns.ndim != 3 or 0 in columns.shape:
+        raise ValueError(f"columns must have a nonempty shape (L, J, N), got {columns.shape}")
     L, J, N = columns.shape
-    if L != len(config.wavenumbers) or J != len(config.directions):
+    if L != len(wavenumbers):
         raise ValueError(
-            f"columns shape {columns.shape} does not match "
-            f"{len(config.wavenumbers)} wavenumbers x {len(config.directions)} directions"
+            f"columns shape {columns.shape} does not match {len(wavenumbers)} wavenumbers"
         )
     if np.any(np.max(np.abs(columns), axis=2) == 0.0):
         raise DataError("far-field column is identically zero")
 
-    raw = np.zeros((config.grid.ny, config.grid.nx))
-    for ell, kappa in enumerate(config.wavenumbers):
-        kernel = build_disk_kernel(config.radius, kappa, N)
-        fact = TikhonovFactorization(kernel.matrix, config.alpha)
-        ex, ey = config.grid.plane_wave_factors(kappa * equiangular_directions(N))
+    raw = np.zeros((grid.ny, grid.nx))
+    for ell, kappa in enumerate(wavenumbers):
+        fact = TikhonovFactorization(build_disk_kernel(radius, kappa, N), alpha)
+        ex, ey = grid.plane_wave_factors(kappa * equiangular_directions(N))
         for j in range(J):
             raw += fact.plane_wave_norms(columns[ell, j], ex, ey)
     values = raw.ravel() / np.max(raw)
     info = {
         "method": "esm",
-        "kappa": list(map(float, config.wavenumbers)),
-        "alpha": config.alpha,
-        "radius": config.radius,
+        "kappa": list(map(float, wavenumbers)),
+        "alpha": alpha,
+        "radius": radius,
     }
     if meta:
         info.update(meta)
-    return IndicatorMap(grid=config.grid, values=values, meta=info)
+    return IndicatorMap(grid=grid, values=values, meta=info)
 
 
 @dataclass(frozen=True)
@@ -266,8 +239,7 @@ def multilevel_esm(column, kappa: float, R0: float, region,
 
     def scan(radius: float):
         grid = _level_grid(region, radius)
-        cfg = EsmConfig(grid=grid, radius=radius, wavenumbers=[kappa], directions=[0.0], alpha=alpha)
-        return esm_indicator(column[None, None, :], cfg).argmin_point()
+        return esm_indicator(column[None, None, :], [kappa], grid, radius, alpha).argmin_point()
 
     history = [(0, R0, scan(R0))]
     for j in range(1, _MAX_LEVELS):

@@ -34,7 +34,6 @@ __all__ = [
     "ParametricCurve",
     "BoundaryDiscretization",
     "make_named_curve",
-    "translate",
     "discretize",
     "CURVE_NAMES",
 ]
@@ -264,25 +263,6 @@ def make_named_curve(name: str, center=(0.0, 0.0), scale: float = 1.0) -> Parame
     if name == "ellipse":
         return _ellipse_curve(center, scale)
     raise ConfigError(f"unknown curve name {name!r}, expected one of {CURVE_NAMES}")
-
-
-def translate(curve: ParametricCurve, v) -> ParametricCurve:
-    """Shift a curve by the vector v.
-
-    The returned curve evaluates the base position and then adds v, so node
-    coordinates of a translated discretization equal the original nodes
-    plus v exactly (bitwise), not just up to round-off.
-    """
-    v = np.asarray(v, dtype=float).reshape(2)
-    base = curve.position
-    return ParametricCurve(
-        position=lambda t: base(t) + v,
-        first_derivative=curve.first_derivative,
-        second_derivative=curve.second_derivative,
-        center=curve.center + v,
-        scale=curve.scale,
-        name=curve.name,
-    )
 
 
 def discretize(curve: ParametricCurve, n: int) -> BoundaryDiscretization:

@@ -26,7 +26,8 @@ Recognized keys (defaults in parentheses):
     zeta            mask cutoff on the normalized indicator (0.2)
     R               sampling-disk radius; mode=esm only, and required there
     R0              initial radius; mode=esm-multilevel only, and required there
-    directions      comma-separated incident angles in radians (pi/3)
+    directions      comma-separated incident angles in radians (pi/3);
+                    mode=esm-multilevel takes exactly one
     out             output path prefix (run)
     farfield_in     read far-field data from this file instead of synthesizing
                     (lsm, esm with L=1 and esm-multilevel; not with kappa or delta)
@@ -230,8 +231,12 @@ def _validate(s: Scenario, lines_of: dict) -> None:
             for key in ("kappa_min", "kappa_max"):
                 if getattr(s, key) is not None:
                     _fail(key, where(key), "applies to multi-frequency runs (L > 1) only")
-    elif s.mode == "esm-multilevel" and s.R0 is None:
-        _fail("R0", 0, "required for mode=esm-multilevel")
+    elif s.mode == "esm-multilevel":
+        if s.R0 is None:
+            _fail("R0", 0, "required for mode=esm-multilevel")
+        if len(s.directions) > 1:
+            _fail("directions", where("directions"),
+                  "mode=esm-multilevel uses one incident direction; give one angle")
     multi_frequency = s.mode == "esm" and s.L > 1
     if s.kappa is None and s.farfield_in is None and not multi_frequency:
         _fail("kappa", 0, f"required for mode={s.mode}")
@@ -282,11 +287,11 @@ def _esm_columns(s: Scenario):
         grid_angles = 2.0 * np.pi * np.arange(F.size) / F.size
         cols = []
         for angle in angles:
-            matches = np.where(np.abs(grid_angles - angle % (2 * np.pi)) < 1e-9)[0]
+            gap = (grid_angles - angle) % (2 * np.pi)    # circular distance, wrapping at 2 pi
+            matches = np.where(np.minimum(gap, 2 * np.pi - gap) < 1e-9)[0]
             if len(matches) == 0:
-                raise ConfigError(
-                    f"direction {angle!r} is not on the {F.size}-point grid of {s.farfield_in}"
-                )
+                raise ConfigError(f"direction {float(angle)!r} is not on the "
+                                  f"{F.size}-point grid of {s.farfield_in}")
             cols.append(F.entries[:, matches[0]])
         return np.asarray([cols]), [F.kappa]
     curve = make_named_curve(s.shape, s.center, s.scale)
@@ -318,12 +323,8 @@ def _run_lsm(s: Scenario, prefix: str):
 
 def _run_esm(s: Scenario, prefix: str):
     columns, kappas = _esm_columns(s)
-    config = esm_mod.EsmConfig(
-        grid=s.grid(), radius=s.R, wavenumbers=kappas,
-        directions=list(s.directions), alpha=s.effective_alpha(),
-    )
     meta = {"delta": s.delta, "seed": s.seed, "shape": s.shape or "file"}
-    indicator = esm_mod.esm_indicator(columns, config, meta=meta)
+    indicator = esm_mod.esm_indicator(columns, kappas, s.grid(), s.R, s.effective_alpha(), meta)
     z = indicator.argmin_point()
     outputs = [f"{prefix}.ind", f"{prefix}.pgm", f"{prefix}.loc"]
     fileio.write_indicator(outputs[0], indicator)
@@ -334,11 +335,10 @@ def _run_esm(s: Scenario, prefix: str):
 
 
 def _run_esm_multilevel(s: Scenario, prefix: str):
-    columns, kappas = _esm_columns(s)
-    column = columns[0, 0]
+    columns, kappas = _esm_columns(s)                 # (1, 1, N): one direction, one kappa
     grid = s.grid()
     region = (grid.xmin, grid.xmax, grid.ymin, grid.ymax)
-    result = esm_mod.multilevel_esm(column, kappas[0], s.R0, region, alpha=s.effective_alpha())
+    result = esm_mod.multilevel_esm(columns[0, 0], kappas[0], s.R0, region, s.effective_alpha())
     outputs = [f"{prefix}.loc"]
     fileio.write_localization(outputs[0], result)
     return outputs, {

@@ -10,7 +10,7 @@ import hashlib
 import numpy as np
 from scipy import special as sp
 
-from bhs.esm import EsmConfig, esm_indicator, multilevel_esm
+from bhs.esm import esm_indicator, multilevel_esm
 from bhs.forward import add_noise, far_field_columns, far_field_matrix, reciprocity_residual
 from bhs.forward import ClampedSolver, analytic_disk_far_field, equiangular_directions
 from bhs.forward import evaluate_scattered, far_field, plane_wave_data
@@ -147,9 +147,7 @@ def esm_single_run(curve, center, kappa, radius, grid_extent=3.0, res=100,
         [far_field_columns(curve, k, 40, dirs, n=128).T for k in wavenumbers]
     )
     grid = SamplingGrid(-grid_extent, grid_extent, -grid_extent, grid_extent, res, res)
-    cfg = EsmConfig(grid=grid, radius=radius, wavenumbers=wavenumbers,
-                    directions=list(angles), alpha=1e-4)
-    indicator = esm_indicator(columns, cfg)
+    indicator = esm_indicator(columns, wavenumbers, grid, radius, alpha=1e-4)
     return indicator.argmin_point(), grid.spacing
 
 

@@ -80,6 +80,9 @@ def test_parse_comments_and_duplicates():
         ("mode=esm\nshape=apple\nkappa=1\nR=1\nkappa_max=3\n", "key 'kappa_max' \\(line 5\\)"),
         ("mode=esm\nshape=apple\nkappa=1\nR=1\nL=1\nkappa_min=2\n",
          "key 'kappa_min' \\(line 6\\)"),
+        # The multilevel search scans one column; further angles would only be recorded.
+        ("mode=esm-multilevel\nshape=apple\nkappa=1\nR0=4\ndirections=1.047,2.5\n",
+         "key 'directions' \\(line 5\\)"),
     ],
 )
 def test_parse_errors_name_the_key(text, needle):
@@ -234,10 +237,18 @@ def test_esm_from_file_requires_grid_direction(forward_outputs, tmp_path):
         f"mode=esm\nfarfield_in={out}.ff\nR=0.5\ndirections=0.0\ngrid_nx=12\ngrid_ny=12\n"
     )
     run(ok, out=str(tmp_path / "okesm"))
+    column0 = read_indicator(tmp_path / "okesm.ind").values
+    # Angles within 1e-9 of theta_0 = 0 across the 2 pi wrap select column 0 too.
+    for label, angle in (("below", "-1e-12"), ("wrapped", "6.2831853071795")):
+        near = parse_scenario(
+            f"mode=esm\nfarfield_in={out}.ff\nR=0.5\ndirections={angle}\ngrid_nx=12\ngrid_ny=12\n"
+        )
+        run(near, out=str(tmp_path / label))
+        assert np.array_equal(read_indicator(tmp_path / f"{label}.ind").values, column0)
     bad = parse_scenario(
         f"mode=esm\nfarfield_in={out}.ff\nR=0.5\ndirections=0.05\ngrid_nx=12\ngrid_ny=12\n"
     )
-    with pytest.raises(ConfigError, match="not on the"):
+    with pytest.raises(ConfigError, match="direction 0.05 is not on the"):
         run(bad, out=str(tmp_path / "badesm"))
 
 

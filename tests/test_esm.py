@@ -1,11 +1,12 @@
 """Extended sampling method: disk kernel, translation, indicator, multilevel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special as sp
 
 from bhs.esm import (
-    EsmConfig,
     build_disk_kernel,
     disk_far_field,
     esm_indicator,
@@ -62,8 +63,8 @@ def test_series_small_argument_tail():
 def test_series_truncation_certified():
     """Adding five more series terms changes no kernel entry by more than 1e-12."""
     R, kappa, N = 0.8, 2 * np.pi, 40
-    kernel = build_disk_kernel(R, kappa, N)
-    z = kappa * kernel.radius
+    U = build_disk_kernel(R, kappa, N)
+    z = kappa * R   # no eigenvalue perturbation here: kappa R = 1.6 pi
     n_used = len([n for n in range(200) if abs(sp.jv(n, z) / sp.hankel1(n, z)) >= 1e-14
                   or n < int(np.ceil(z + 10))])
     ns = np.arange(n_used + 6)
@@ -74,12 +75,11 @@ def test_series_truncation_certified():
     )
     idx = np.arange(N)
     U_ext = extended[(idx[:, None] - idx[None, :]) % N]
-    assert np.max(np.abs(U_ext - kernel.matrix)) < 1e-12
+    assert np.max(np.abs(U_ext - U)) < 1e-12
 
 
 def test_kernel_circulant_and_symmetric():
-    kernel = build_disk_kernel(0.5, 2 * np.pi, 24)
-    U = kernel.matrix
+    U = build_disk_kernel(0.5, 2 * np.pi, 24)
     for i in range(1, 24):
         np.testing.assert_allclose(U[i], np.roll(U[0], i), atol=1e-12)
     np.testing.assert_allclose(U, U.T, atol=1e-12)
@@ -88,33 +88,34 @@ def test_kernel_circulant_and_symmetric():
 def test_dirichlet_eigenvalue_guard_warns():
     j01 = 2.404825557695773
     with pytest.warns(UserWarning, match="Dirichlet eigenvalue"):
-        kernel = build_disk_kernel(j01, 1.0, 16)
-    assert kernel.radius == pytest.approx(1.01 * j01)
-    # away from eigenvalues the radius is untouched (kappa R = pi)
-    kernel = build_disk_kernel(0.5, 2 * np.pi, 16)
-    assert kernel.radius == 0.5
+        guarded = build_disk_kernel(j01, 1.0, 16)
+    assert np.array_equal(guarded, build_disk_kernel(1.01 * j01, 1.0, 16))
+    # away from eigenvalues the radius is untouched (kappa R = pi): no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_disk_kernel(0.5, 2 * np.pi, 16)
 
 
 # ---------------------------------------------------------------------------
 # Translated kernel
 # ---------------------------------------------------------------------------
 def test_translated_kernel_identity_at_origin():
-    kernel = build_disk_kernel(1.0, np.pi, 16)
-    assert np.array_equal(translated_kernel((0.0, 0.0), kernel), kernel.matrix)
+    U = build_disk_kernel(1.0, np.pi, 16)
+    assert np.array_equal(translated_kernel((0.0, 0.0), U, np.pi), U)
 
 
 def test_translated_kernel_unimodular_phase():
-    kernel = build_disk_kernel(1.0, np.pi, 16)
-    A = translated_kernel((0.7, -1.2), kernel)
-    np.testing.assert_allclose(np.abs(A), np.abs(kernel.matrix), rtol=1e-14)
+    U = build_disk_kernel(1.0, np.pi, 16)
+    A = translated_kernel((0.7, -1.2), U, np.pi)
+    np.testing.assert_allclose(np.abs(A), np.abs(U), rtol=1e-14)
 
 
 def test_translated_kernel_composition():
-    kernel = build_disk_kernel(1.0, np.pi, 16)
+    U = build_disk_kernel(1.0, np.pi, 16)
     z1, z2 = np.array([0.4, 0.3]), np.array([-0.9, 0.5])
-    A12 = translated_kernel(z1 + z2, kernel)
-    A1 = translated_kernel(z1, kernel)
-    d = equiangular_directions(kernel.size)
+    A12 = translated_kernel(z1 + z2, U, np.pi)
+    A1 = translated_kernel(z1, U, np.pi)
+    d = equiangular_directions(16)
     phase = np.exp(1j * np.pi * (d @ z2))
     np.testing.assert_allclose(A12, phase.conj()[:, None] * A1 * phase[None, :], atol=1e-13)
 
@@ -123,16 +124,15 @@ def test_translated_kernel_matches_shared_factorization():
     """The z-dependent Tikhonov solve agrees with the factored route used internally."""
     from bhs.linalg import tikhonov_solve
 
-    kernel = build_disk_kernel(0.6, 2 * np.pi, 20)
+    U = build_disk_kernel(0.6, 2 * np.pi, 20)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     z = np.array([0.8, -0.3])
     alpha = 1e-4
     grid = SamplingGrid(z[0] - 0.1, z[0] + 0.1, z[1] - 0.1, z[1] + 0.1, 3, 3)
-    cfg = EsmConfig(grid=grid, radius=0.6, wavenumbers=[2 * np.pi], directions=[0.0], alpha=alpha)
-    indicator = esm_indicator(b[None, None, :], cfg)
+    indicator = esm_indicator(b[None, None, :], [2 * np.pi], grid, 0.6, alpha)
     direct = np.array([
-        np.linalg.norm(tikhonov_solve(translated_kernel(p, kernel), b, alpha))
+        np.linalg.norm(tikhonov_solve(translated_kernel(p, U, 2 * np.pi), b, alpha))
         for p in grid.points()
     ])
     np.testing.assert_allclose(indicator.values, direct / direct.max(), rtol=1e-10)
@@ -143,17 +143,16 @@ def test_multidata_indicator_matches_per_point_solves():
     separable grid evaluation equals the sum of per-point translated solves."""
     from bhs.linalg import tikhonov_solve
 
-    kappas, angles, N, R, alpha = [np.pi, 1.7 * np.pi], [0.2, 2.3, 4.4], 18, 0.7, 1e-4
+    kappas, N, R, alpha = [np.pi, 1.7 * np.pi], 18, 0.7, 1e-4
     rng = np.random.default_rng(21)
     columns = rng.standard_normal((2, 3, N)) + 1j * rng.standard_normal((2, 3, N))
     grid = SamplingGrid(-0.4, 1.3, -1.1, -0.2, 7, 5)
-    cfg = EsmConfig(grid=grid, radius=R, wavenumbers=kappas, directions=angles, alpha=alpha)
-    indicator = esm_indicator(columns, cfg)
+    indicator = esm_indicator(columns, kappas, grid, R, alpha)
     direct = np.zeros(grid.size)
     for ell, kappa in enumerate(kappas):
-        kernel = build_disk_kernel(R, kappa, N)
+        U = build_disk_kernel(R, kappa, N)
         for k, p in enumerate(grid.points()):
-            A = translated_kernel(p, kernel)
+            A = translated_kernel(p, U, kappa)
             direct[k] += sum(np.linalg.norm(tikhonov_solve(A, b, alpha)) for b in columns[ell])
     np.testing.assert_allclose(indicator.values, direct / direct.max(), rtol=1e-10)
 
@@ -164,8 +163,7 @@ def test_multidata_indicator_matches_per_point_solves():
 def test_indicator_normalized_to_one():
     kernel_N = 24
     col = disk_data_column(np.array([0.2, -0.4]), 0.5, np.pi, kernel_N, np.pi / 3)
-    cfg = EsmConfig(grid=square_grid(1.0, 12), radius=0.5, wavenumbers=[np.pi], directions=[np.pi / 3])
-    indicator = esm_indicator(col[None, None, :], cfg)
+    indicator = esm_indicator(col[None, None, :], [np.pi], square_grid(1.0, 12), 0.5)
     assert np.max(indicator.values) == 1.0
 
 
@@ -175,31 +173,43 @@ def test_indicator_self_consistency_disk_data():
     kappa, R, N = 2 * np.pi, 1.0, 40
     col = disk_data_column(z0, R, kappa, N, np.pi / 3)
     grid = square_grid(3.0, 61)
-    cfg = EsmConfig(grid=grid, radius=R, wavenumbers=[kappa], directions=[np.pi / 3])
-    indicator = esm_indicator(col[None, None, :], cfg)
+    indicator = esm_indicator(col[None, None, :], [kappa], grid, R)
     zmin = indicator.argmin_point()
     assert np.hypot(*(zmin - z0)) <= grid.spacing + 1e-12
 
 
 def test_indicator_global_phase_invariance():
     col = disk_data_column(np.array([0.3, 0.1]), 0.5, np.pi, 24, 0.0)
-    cfg = EsmConfig(grid=square_grid(1.0, 10), radius=0.5, wavenumbers=[np.pi], directions=[0.0])
-    v1 = esm_indicator(col[None, None, :], cfg).values
-    v2 = esm_indicator((np.exp(1.1j) * col)[None, None, :], cfg).values
+    grid = square_grid(1.0, 10)
+    v1 = esm_indicator(col[None, None, :], [np.pi], grid, 0.5).values
+    v2 = esm_indicator((np.exp(1.1j) * col)[None, None, :], [np.pi], grid, 0.5).values
     np.testing.assert_allclose(v1, v2, rtol=1e-12)
 
 
 def test_indicator_rejects_zero_column():
-    cfg = EsmConfig(grid=square_grid(1.0, 6), radius=0.5, wavenumbers=[np.pi], directions=[0.0])
     with pytest.raises(DataError):
-        esm_indicator(np.zeros((1, 1, 16), complex), cfg)
+        esm_indicator(np.zeros((1, 1, 16), complex), [np.pi], square_grid(1.0, 6), 0.5)
+
+
+@pytest.mark.parametrize(
+    "radius,alpha,needle", [(0.0, 1e-4, "radius"), (-0.5, 1e-4, "radius"), (0.5, 0.0, "alpha")]
+)
+def test_indicator_rejects_bad_parameters(radius, alpha, needle):
+    with pytest.raises(ValueError, match=needle):
+        esm_indicator(np.ones((1, 1, 16)), [np.pi], square_grid(1.0, 6), radius, alpha)
 
 
 def test_indicator_shape_validation():
-    cfg = EsmConfig(grid=square_grid(1.0, 6), radius=0.5, wavenumbers=[np.pi, 2 * np.pi],
-                    directions=[0.0])
-    with pytest.raises(ValueError):
-        esm_indicator(np.ones((1, 1, 16), complex), cfg)
+    grid = square_grid(1.0, 6)
+    with pytest.raises(ValueError, match=r"columns must have a nonempty shape \(L, J, N\)"):
+        esm_indicator(np.ones((1, 16)), [np.pi], grid, 0.5)
+    with pytest.raises(ValueError, match="wavenumbers"):
+        esm_indicator(np.ones((1, 1, 16)), [np.pi, 2 * np.pi], grid, 0.5)
+
+
+def test_kernel_rejects_negative_radius():
+    with pytest.raises(ValueError, match="radius"):
+        build_disk_kernel(-0.5, 2 * np.pi, 16)
 
 
 def test_peanut_single_direction_localization():
@@ -207,9 +217,7 @@ def test_peanut_single_direction_localization():
     kappa, N = 2 * np.pi, 40
     d0 = np.array([np.cos(np.pi / 3), np.sin(np.pi / 3)])
     col = far_field_columns(make_named_curve("peanut"), kappa, N, d0[None, :], n=128)[:, 0]
-    cfg = EsmConfig(grid=square_grid(3.0, 61), radius=0.5, wavenumbers=[kappa],
-                    directions=[np.pi / 3])
-    indicator = esm_indicator(col[None, None, :], cfg)
+    indicator = esm_indicator(col[None, None, :], [kappa], square_grid(3.0, 61), 0.5)
     assert np.hypot(*indicator.argmin_point()) < 0.25
 
 

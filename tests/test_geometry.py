@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bhs.exceptions import ConfigError, GeometryError
-from bhs.geometry import CURVE_NAMES, ParametricCurve, discretize, make_named_curve, translate
+from bhs.geometry import CURVE_NAMES, ParametricCurve, discretize, make_named_curve
 
 
 def winding_number(polyline: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -85,16 +85,6 @@ def test_normals_point_outward(name):
     dx = curve.first_derivative(disc.params)
     assert np.max(np.abs(np.einsum("ij,ij->i", disc.normals, dx))) < 1e-12
     assert np.max(np.abs(np.hypot(disc.normals[:, 0], disc.normals[:, 1]) - 1.0)) < 1e-12
-
-
-def test_translation_equivariance_exact():
-    curve = make_named_curve("apple", center=(0.3, 0.4))
-    v = np.array([-1.25, 0.75])
-    d0 = discretize(curve, 32)
-    d1 = discretize(translate(curve, v), 32)
-    assert np.array_equal(d1.nodes, d0.nodes + v)
-    assert np.array_equal(d1.jacobians, d0.jacobians)
-    assert np.array_equal(d1.normals, d0.normals)
 
 
 def test_unit_circle_discretization():
