@@ -24,9 +24,9 @@ grid and every incident direction.
 On a sampling grid e^{i kappa xhat.z} = ex[:, ix] ey[:, iy] with
 ex = e^{i kappa xhat_1 xs} (N, nx) and ey = e^{i kappa xhat_2 ys} (N, ny), built
 once per wavenumber: N (nx + ny) exponentials. Each data column b then costs
-one (ny x N) @ (N x nx) product per row of diag(f) U* diag(b) (see
-:meth:`TikhonovFactorization.plane_wave_norms`) and holds O(N (nx + ny) +
-N nx + nx ny) values, never an (N, nx ny) block.
+one real (ny x N(N+1)) @ (N(N+1) x nx) product of pair factors of the Gram
+matrix of diag(f) U* diag(b) (see :meth:`TikhonovFactorization.plane_wave_norms`),
+with the rounding bound stated in :mod:`bhs.lsm`, never an (N, nx ny) block.
 
 Every entry point takes plain arrays, as :func:`bhs.lsm.lsm_indicator` does:
 ``esm_indicator(columns, wavenumbers, grid, radius, alpha, meta)`` with
@@ -130,6 +130,8 @@ def build_disk_kernel(R: float, kappa: float, N: int) -> np.ndarray:
     """
     if R <= 0.0:
         raise ValueError(f"radius must be > 0, got {R}")
+    if not kappa > 0.0:
+        raise ValueError(f"kappa must be > 0, got {kappa}")
     if N < 2:
         raise ValueError(f"direction count must be >= 2, got {N}")
     R = _guard_radius(R, kappa)

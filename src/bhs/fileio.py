@@ -7,7 +7,9 @@ versions. Direction grids are implicit and 0-based: theta_i = 2 pi i / N.
 
 Far-field, indicator, mask and heatmap files are tables, written by
 ``_write`` and parsed by ``_read``/``_rows``: the one place the row format
-and its row-count and row-width checks live.
+and its row-count and row-width checks live. Integer tables (heatmap pixels
+and 0/1 masks) are rendered to decimal digits by numpy, with the same bytes
+``%d`` (and ``%.17g`` of 0.0/1.0) would give.
 """
 
 from __future__ import annotations
@@ -41,10 +43,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write(path, header_lines, rows, fmt="%.17g") -> None:
-    """The one table writer: header lines, then one line of ``fmt`` values per row."""
-    np.savetxt(path, rows, fmt=fmt, header="\n".join(header_lines), comments="",
-               encoding="utf-8")
+def _write(path, header_lines, rows) -> None:
+    """The one table writer: header lines, then one line of values per row, as
+    ``%.17g`` floats or, for unsigned integers, numpy-rendered ``%d`` digits."""
+    rows, head = np.asarray(rows), "\n".join(header_lines)
+    if rows.dtype.kind != "u":
+        np.savetxt(path, rows, fmt="%.17g", header=head, comments="", encoding="utf-8")
+        return
+    width = len(str(rows.max(initial=0)))
+    cells = np.full(rows.shape + (width + 1,), ord(" "), np.uint8)
+    cells[:, -1, -1] = ord("\n")
+    keep = np.ones(cells.shape, bool)
+    for k in range(width):
+        power = 10 ** (width - 1 - k)
+        cells[..., k] = rows // power % 10 + ord("0")
+        keep[..., k] = (rows >= power) | (power == 1)    # no leading zeros
+    Path(path).write_bytes(head.encode("utf-8") + b"\n" + cells[keep].tobytes())
 
 
 def _read(path, magic: str):
@@ -91,27 +105,26 @@ def read_farfield(path) -> FarFieldMatrix:
         kappa, N = float(header["kappa"]), int(header["N"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: malformed header") from exc
+    if N < 1:
+        raise FormatError(f"{path}: header key 'N' must be >= 1, got {N}")
+    if not (np.isfinite(kappa) and kappa > 0.0):
+        raise FormatError(f"{path}: header key 'kappa' must be finite and > 0, got {kappa}")
     entries = _rows(path, data, N, 2 * N).view(np.complex128)
     if N % 2 != 0:
         warnings.warn(f"{path}: odd direction count {N}; reciprocity diagnostics need even N")
     return FarFieldMatrix(kappa=kappa, entries=entries)
 
 
+def _indicator_header(grid: SamplingGrid, meta: dict) -> list:
+    bounds = [f"{key}={_fmt(getattr(grid, key))}" for key in ("xmin", "xmax", "ymin", "ymax")]
+    return ([_IND_MAGIC, *bounds, f"nx={grid.nx}", f"ny={grid.ny}"]
+            + [f"meta.{key}={meta[key]}" for key in sorted(meta)])
+
+
 def write_indicator(path, indicator: IndicatorMap) -> None:
     """Write an indicator map: header with bounds/resolution and metadata,
     then ny rows of nx decimals with y increasing row by row."""
-    g = indicator.grid
-    header = [
-        _IND_MAGIC,
-        f"xmin={_fmt(g.xmin)}",
-        f"xmax={_fmt(g.xmax)}",
-        f"ymin={_fmt(g.ymin)}",
-        f"ymax={_fmt(g.ymax)}",
-        f"nx={g.nx}",
-        f"ny={g.ny}",
-    ]
-    header += [f"meta.{key}={indicator.meta[key]}" for key in sorted(indicator.meta)]
-    _write(path, header, indicator.as_array())
+    _write(path, _indicator_header(indicator.grid, indicator.meta), indicator.as_array())
 
 
 def read_indicator(path) -> IndicatorMap:
@@ -140,23 +153,17 @@ def write_heatmap(path, indicator: IndicatorMap) -> None:
     g = indicator.grid
     arr = indicator.as_array()
     lo, hi = float(arr.min()), float(arr.max())
+    pix = np.zeros(arr.shape, np.uint16)
     if hi > lo:
-        pix = np.minimum(
-            np.floor((arr - lo) / (hi - lo) * (_PGM_MAXVAL + 1)).astype(int), _PGM_MAXVAL
-        )
-    else:
-        pix = np.zeros_like(arr, dtype=int)
-    _write(path, ["P2", f"{g.nx} {g.ny}", str(_PGM_MAXVAL)], pix[::-1], fmt="%d")
+        pix[:] = np.minimum(np.floor((arr - lo) / (hi - lo) * (_PGM_MAXVAL + 1)), _PGM_MAXVAL)
+    _write(path, ["P2", f"{g.nx} {g.ny}", str(_PGM_MAXVAL)], pix[::-1])
 
 
 def write_mask(path, indicator: IndicatorMap, mask: np.ndarray) -> None:
     """Write a boolean mask in the indicator format with 0/1 values."""
-    as_map = IndicatorMap(
-        grid=indicator.grid,
-        values=mask.astype(float),
-        meta={**indicator.meta, "content": "mask"},
-    )
-    write_indicator(path, as_map)
+    g = indicator.grid
+    header = _indicator_header(g, {**indicator.meta, "content": "mask"})
+    _write(path, header, np.asarray(mask).reshape(g.ny, g.nx).astype(np.uint8))
 
 
 def write_localization(path, result) -> None:

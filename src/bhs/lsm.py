@@ -14,9 +14,12 @@ Tikhonov filter factors f).
 
 On a sampling grid e^{-i kappa xhat.z} = ex[:, ix] ey[:, iy] with
 ex = e^{-i kappa xhat_1 xs} (N, nx) and ey = e^{-i kappa xhat_2 ys} (N, ny), so
-the map costs N (nx + ny) exponentials plus one (ny x N) @ (N x nx) product
-per row of diag(f) U* (see :meth:`TikhonovFactorization.plane_wave_norms`)
-and holds O(N (nx + ny) + N nx + nx ny) values, never an (N, nx ny) block.
+the map costs N (nx + ny) exponentials and one real (ny x N(N+1)) @
+(N(N+1) x nx) product of pair factors of the Gram matrix G of diag(f) U*
+(see :meth:`TikhonovFactorization.plane_wave_norms`): N^2 multiply-adds per
+point and O(N (nx + ny) + N^2 + nx ny) values, never an (N, nx ny) block.
+Rounding moves ||g_z||^2 by at most N eps sum |c_st G_st|; the map is floored
+there, so every alpha > 0 gives a finite map.
 """
 
 from __future__ import annotations

@@ -212,6 +212,12 @@ def test_kernel_rejects_negative_radius():
         build_disk_kernel(-0.5, 2 * np.pi, 16)
 
 
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, float("nan")])
+def test_kernel_rejects_nonpositive_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa must be > 0"):
+        build_disk_kernel(0.5, kappa, 16)
+
+
 def test_peanut_single_direction_localization():
     """Scattering data from the peanut at the origin localizes within 0.25."""
     kappa, N = 2 * np.pi, 40

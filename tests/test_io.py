@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from bhs.cli import main
 from bhs.esm import LocalizationResult
 from bhs.exceptions import FormatError
 from bhs.fileio import (
+    _write,
     read_farfield,
     read_indicator,
     write_farfield,
@@ -92,6 +94,26 @@ def test_farfield_format_errors(tmp_path):
         read_farfield(not_a_number)
 
 
+@pytest.mark.parametrize(
+    "header,key",
+    [
+        ("kappa=1\nN=-2", "'N'"),
+        ("kappa=1\nN=0", "'N'"),
+        ("kappa=-6.283185307179586\nN=2", "'kappa'"),
+        ("kappa=0\nN=2", "'kappa'"),
+        ("kappa=nan\nN=2", "'kappa'"),
+        ("kappa=inf\nN=2", "'kappa'"),
+    ],
+)
+def test_farfield_header_values_checked(tmp_path, capsys, header, key):
+    path = tmp_path / "bad.ff"
+    path.write_text(f"#bhff v1\n{header}\n0 0 0 0\n0 0 0 0\n")
+    with pytest.raises(FormatError, match=key):
+        read_farfield(path)
+    assert main(["verify", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_indicator_round_trip(tmp_path):
     grid = SamplingGrid(-1.5, 1.5, -0.5, 2.5, 5, 4)
     rng = np.random.default_rng(2)
@@ -152,6 +174,37 @@ def test_mask_round_trip(tmp_path):
     back = read_indicator(path)
     assert back.meta["content"] == "mask"
     assert np.array_equal(back.values.astype(bool), mask)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([[0, 9, 10, 99, 100, 65535]]),
+        np.array([[0], [9], [10], [99], [100], [65535]]),
+        np.zeros((3, 4), int),
+        np.random.default_rng(9).integers(0, 65536, (512, 512)),
+    ],
+    ids=["one-row", "one-column", "all-zero", "random-512"],
+)
+def test_integer_table_bytes_match_savetxt(tmp_path, rows):
+    header = ["P2", f"{rows.shape[1]} {rows.shape[0]}", "65535"]
+    _write(tmp_path / "fast.pgm", header, rows.astype(np.uint16))
+    np.savetxt(tmp_path / "ref.pgm", rows, fmt="%d", header="\n".join(header), comments="",
+               encoding="utf-8")
+    assert (tmp_path / "fast.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+
+
+def test_mask_bytes_match_float_rendering(tmp_path):
+    grid = SamplingGrid(-1.0, 1.0, 0.0, 2.0, 7, 5)
+    indicator = IndicatorMap(grid=grid, values=np.random.default_rng(4).random(grid.size),
+                             meta={"method": "lsm", "alpha": 1e-6})
+    mask = indicator.values > 0.5
+    write_mask(tmp_path / "m.mask", indicator, mask)
+    # The float rendering: the mask as a 0.0/1.0 indicator map written with %.17g.
+    as_map = IndicatorMap(grid=grid, values=mask.astype(float),
+                          meta={**indicator.meta, "content": "mask"})
+    write_indicator(tmp_path / "ref.mask", as_map)
+    assert (tmp_path / "m.mask").read_bytes() == (tmp_path / "ref.mask").read_bytes()
 
 
 def test_localization_file(tmp_path):

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from bhs.forward import equiangular_directions, far_field_matrix
+from bhs.geometry import make_named_curve
+from bhs.grids import SamplingGrid
 from bhs.linalg import TikhonovFactorization, spectral_norm, tikhonov_solve
+from bhs.lsm import phi_infinity_rhs
 
 
 def random_complex(rng, *shape):
@@ -82,6 +86,46 @@ def test_factorization_matches_single_solve():
     norms = fact.plane_wave_norms(w, ex, ey)
     assert norms.shape == (3, 5)
     np.testing.assert_allclose(norms.ravel(), np.linalg.norm(fact.solve(dense), axis=0), rtol=1e-12)
+
+
+@pytest.fixture(scope="module", params=["peanut", "apple"])
+def lsm_problem(request):
+    """Clean N=32 far-field data and the LSM plane-wave factors on a 24 x 20 grid."""
+    kappa, N = 2 * np.pi, 32
+    F = far_field_matrix(make_named_curve(request.param, (0.0, 0.0), 1.0), kappa, N)
+    grid = SamplingGrid(-1.5, 1.5, -1.5, 1.5, 24, 20)
+    ex, ey = grid.plane_wave_factors(-kappa * equiangular_directions(N))
+    return F.entries, phi_infinity_rhs((0.0, 0.0), kappa, N), ex, ey
+
+
+def gram_rounding_bound(fact, w):
+    """N eps sum_{s<=t} |c_st G_st| with G = X* X for the solutions X of b = w_j e_j."""
+    X = fact.solve(np.diag(w))
+    G = X.conj().T @ X
+    s, t = np.triu_indices(len(w))
+    return len(w) * np.finfo(float).eps * np.sum(np.where(s == t, 1.0, 2.0) * np.abs(G[s, t]))
+
+
+@pytest.mark.parametrize("alpha", [1e-2, 1e-6, 1e-10, 1e-14])
+def test_plane_wave_norms_within_gram_rounding_bound(lsm_problem, alpha):
+    """||g||^2 from the pair-factor Gram form is within the rounding bound of
+    the dense solve."""
+    A, w, ex, ey = lsm_problem
+    fact = TikhonovFactorization(A, alpha)
+    dense = (w[:, None, None] * ey[:, :, None] * ex[:, None, :]).reshape(len(w), -1)
+    reference = np.linalg.norm(fact.solve(dense), axis=0) ** 2
+    squared = fact.plane_wave_norms(w, ex, ey).ravel() ** 2
+    assert np.max(np.abs(squared - reference)) <= gram_rounding_bound(fact, w)
+
+
+def test_plane_wave_norms_floored_at_tiny_alpha(lsm_problem):
+    """At alpha = 1e-18 the apple's map reaches the rounding floor; every value
+    stays finite and at or above it."""
+    A, w, ex, ey = lsm_problem
+    fact = TikhonovFactorization(A, 1e-18)
+    norms = fact.plane_wave_norms(w, ex, ey)
+    assert np.all(np.isfinite(norms))
+    assert np.min(norms) ** 2 >= 0.99 * gram_rounding_bound(fact, w) > 0.0
 
 
 def test_alpha_validation():
