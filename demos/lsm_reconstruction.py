@@ -49,7 +49,7 @@ for name in ("apple", "peanut", "peach"):
         F = far_field_matrix(curve, kappa, 32, n=128)
         for delta in (0.0, 0.05):
             data = add_noise(F, delta, seed=7)
-            indicator = lsm_indicator(data, GRID, alpha=1e-6,
+            indicator = lsm_indicator(data, kappa, GRID, alpha=1e-6,
                                       meta={"shape": name, "delta": delta, "seed": 7})
             ratio = indicator.values[inside].mean() / indicator.values[~inside].mean()
             mask = classify(indicator, zeta=0.2)

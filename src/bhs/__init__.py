@@ -25,7 +25,6 @@ from .geometry import BoundaryDiscretization, ParametricCurve, discretize, make_
 from .grids import IndicatorMap, SamplingGrid
 from .forward import (
     ClampedSolver,
-    FarFieldMatrix,
     add_noise,
     analytic_disk_far_field,
     assemble_system,
@@ -37,7 +36,7 @@ from .forward import (
     plane_wave_data,
     reciprocity_residual,
 )
-from .linalg import TikhonovFactorization, spectral_norm, tikhonov_solve
+from .linalg import TikhonovFactorization
 from .lsm import classify, lsm_indicator, phi_infinity_rhs
 from .esm import (
     LocalizationResult,

@@ -62,11 +62,11 @@ def main(argv=None) -> int:
 
 
 def _verify(path: str) -> int:
-    F = fileio.read_farfield(path)
-    print(f"kappa={F.kappa:.17g}")
-    print(f"N={F.size}")
+    F, kappa = fileio.read_farfield(path)
+    print(f"kappa={kappa:.17g}")
+    print(f"N={len(F)}")
     print("directions=equiangular, theta_i = 2*pi*i/N, 0-based")
-    if F.size % 2 == 0:
+    if len(F) % 2 == 0:
         print(f"reciprocity_residual={reciprocity_residual(F):.6e}")
     else:
         print("reciprocity_residual=unavailable (odd direction count)")

@@ -7,9 +7,10 @@ versions. Direction grids are implicit and 0-based: theta_i = 2 pi i / N.
 
 Far-field, indicator, mask and heatmap files are tables, written by
 ``_write`` and parsed by ``_read``/``_rows``: the one place the row format
-and its row-count and row-width checks live. Integer tables (heatmap pixels
-and 0/1 masks) are rendered to decimal digits by numpy, with the same bytes
-``%d`` (and ``%.17g`` of 0.0/1.0) would give.
+and its row-count, row-width and finiteness checks live. Integer tables
+(heatmap pixels and 0/1 masks) are rendered to decimal digits by numpy, with
+the same bytes ``%d`` (and ``%.17g`` of 0.0/1.0) would give. Far-field data
+is a plain complex (N, N) array written and read with its kappa beside it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import FormatError
-from .forward import FarFieldMatrix
 from .grids import IndicatorMap, SamplingGrid
 
 __all__ = [
@@ -75,7 +75,8 @@ def _read(path, magic: str):
 
 
 def _rows(path, data, count: int, width: int) -> np.ndarray:
-    """The one table parser: the first ``count`` data lines as a (count, width) array."""
+    """The one table parser: the first ``count`` data lines as a (count, width)
+    array of finite values."""
     if len(data) < count:
         raise FormatError(f"{path}: expected {count} data rows, found {len(data)}")
     out = np.empty((count, width))
@@ -87,19 +88,22 @@ def _rows(path, data, count: int, width: int) -> np.ndarray:
             out[i] = row
         except ValueError as exc:
             raise FormatError(f"{path}: row {i}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}: row {bad[0]} has a non-finite value")
     return out
 
 
-def write_farfield(path, F: FarFieldMatrix) -> None:
-    """Write a far-field matrix: magic, kappa, N, then N rows of 2N decimals
-    (real and imaginary parts interleaved)."""
-    rows = np.ascontiguousarray(F.entries).view(np.float64)
-    _write(path, [_FF_MAGIC, f"kappa={_fmt(F.kappa)}", f"N={F.size}"], rows)
+def write_farfield(path, F: np.ndarray, kappa: float) -> None:
+    """Write an (N, N) far-field array: magic, kappa, N, then N rows of 2N
+    decimals (real and imaginary parts interleaved)."""
+    rows = np.ascontiguousarray(F, dtype=np.complex128).view(np.float64)
+    _write(path, [_FF_MAGIC, f"kappa={_fmt(kappa)}", f"N={len(F)}"], rows)
 
 
-def read_farfield(path) -> FarFieldMatrix:
-    """Read a far-field file; warns on an odd direction count (reciprocity
-    diagnostics need an even grid) but accepts it."""
+def read_farfield(path) -> tuple[np.ndarray, float]:
+    """Read a far-field file as (F, kappa); warns on an odd direction count
+    (reciprocity diagnostics need an even grid) but accepts it."""
     header, data = _read(path, _FF_MAGIC)
     try:
         kappa, N = float(header["kappa"]), int(header["N"])
@@ -109,10 +113,10 @@ def read_farfield(path) -> FarFieldMatrix:
         raise FormatError(f"{path}: header key 'N' must be >= 1, got {N}")
     if not (np.isfinite(kappa) and kappa > 0.0):
         raise FormatError(f"{path}: header key 'kappa' must be finite and > 0, got {kappa}")
-    entries = _rows(path, data, N, 2 * N).view(np.complex128)
+    F = _rows(path, data, N, 2 * N).view(np.complex128)
     if N % 2 != 0:
         warnings.warn(f"{path}: odd direction count {N}; reciprocity diagnostics need even N")
-    return FarFieldMatrix(kappa=kappa, entries=entries)
+    return F, kappa
 
 
 def _indicator_header(grid: SamplingGrid, meta: dict) -> list:
@@ -139,7 +143,10 @@ def read_indicator(path) -> IndicatorMap:
         raise FormatError(f"{path}: malformed header") from exc
     meta = {key[5:]: value for key, value in header.items() if key.startswith("meta.")}
     values = _rows(path, data, grid.ny, grid.nx).ravel()
-    return IndicatorMap(grid=grid, values=values, meta=meta)
+    try:
+        return IndicatorMap(grid=grid, values=values, meta=meta)
+    except ValueError as exc:    # a negative value
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_heatmap(path, indicator: IndicatorMap) -> None:

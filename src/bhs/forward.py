@@ -50,7 +50,6 @@ evanescent part decays like e^{-kr}/sqrt(r) and contributes nothing.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,10 +59,8 @@ from scipy import special as _sp
 from . import special
 from .exceptions import IllConditionedSystemError, NearBoundaryError, OracleError
 from .geometry import BoundaryDiscretization, ParametricCurve, discretize
-from .linalg import spectral_norm
 
 __all__ = [
-    "FarFieldMatrix",
     "equiangular_directions",
     "plane_wave_data",
     "assemble_system",
@@ -83,33 +80,6 @@ _COND_LIMIT = 1e12
 # corrupts the heap with OpenBLAS 0.3.31 (glibc "corrupted size vs.
 # prev_size", then an abort), so back-substitutions are serialized.
 _LU_SOLVE_LOCK = threading.Lock()
-
-
-# ---------------------------------------------------------------------------
-# Data containers
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class FarFieldMatrix:
-    """Discrete far-field operator F[i, j] = u_inf(xhat_i, d_j) at one wavenumber.
-
-    Observation and incidence share the equiangular grid
-    theta_i = 2 pi i / N, so -xhat_i is the row (i + N/2) mod N for even N.
-    """
-
-    kappa: float
-    entries: np.ndarray  # (N, N) complex
-
-    def __post_init__(self):
-        F = np.asarray(self.entries, dtype=np.complex128)
-        if F.ndim != 2 or F.shape[0] != F.shape[1]:
-            raise ValueError(f"far-field matrix must be square, got {F.shape}")
-        if not np.all(np.isfinite(F.real)) or not np.all(np.isfinite(F.imag)):
-            raise ValueError("far-field matrix has non-finite entries")
-        object.__setattr__(self, "entries", F)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
 
 def equiangular_directions(N: int) -> np.ndarray:
@@ -354,35 +324,37 @@ def far_field_columns(curve: ParametricCurve, kappa: float, obs_count: int,
     return far_field(phiH, disc, kappa, equiangular_directions(obs_count))
 
 
-def far_field_matrix(curve: ParametricCurve, kappa: float, N: int, n: int = 128) -> FarFieldMatrix:
-    """Discretized far-field operator over N shared observation/incidence directions.
+def far_field_matrix(curve: ParametricCurve, kappa: float, N: int, n: int = 128) -> np.ndarray:
+    """Discretized far-field operator F[i, j] = u_inf(xhat_i, d_j), an (N, N) complex array.
 
-    N must be even (so that -xhat lies on the grid for the reciprocity
-    diagnostic) and at least 8.
+    Observation and incidence share the equiangular grid theta_i = 2 pi i / N,
+    so -xhat_i is row (i + N/2) mod N. N must be even (so that -xhat lies on
+    the grid for the reciprocity diagnostic) and at least 8.
     """
     if N < 8 or N % 2 != 0:
         raise ValueError(f"direction count N must be even and >= 8, got {N}")
-    entries = far_field_columns(curve, kappa, N, equiangular_directions(N), n=n)
-    return FarFieldMatrix(kappa=kappa, entries=entries)
+    return far_field_columns(curve, kappa, N, equiangular_directions(N), n=n)
 
 
-def reciprocity_residual(F: FarFieldMatrix) -> float:
+def reciprocity_residual(F: np.ndarray) -> float:
     """Relative residual of u_inf(-xhat, d) = u_inf(-d, xhat) on the grid.
 
     A solver correctness witness: small for consistent data, O(noise) for
-    perturbed data. Requires an even direction count.
+    perturbed data. F must be square with an even direction count.
     """
-    N = F.size
-    if N % 2 != 0:
-        raise ValueError("reciprocity diagnostic requires an even direction count")
-    flipped = np.roll(F.entries, -(N // 2), axis=0)  # row i -> u_inf(-xhat_i, d_j)
-    scale = np.max(np.abs(F.entries))
+    F = np.asarray(F)
+    if F.ndim != 2 or F.shape[0] != F.shape[1] or F.shape[0] % 2 != 0:
+        raise ValueError(f"reciprocity diagnostic needs a square far field of even size, "
+                         f"got shape {F.shape}")
+    N = F.shape[0]
+    flipped = np.roll(F, -(N // 2), axis=0)  # row i -> u_inf(-xhat_i, d_j)
+    scale = np.max(np.abs(F))
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(flipped - flipped.T)) / scale)
 
 
-def add_noise(F: FarFieldMatrix, delta: float, seed: int) -> FarFieldMatrix:
+def add_noise(F: np.ndarray, delta: float, seed: int) -> np.ndarray:
     """Multiplicative noise F_ij (1 + delta E_ij) with ||E||_2 = 1.
 
     E has independent entries with real and imaginary parts uniform on
@@ -393,11 +365,10 @@ def add_noise(F: FarFieldMatrix, delta: float, seed: int) -> FarFieldMatrix:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if delta == 0.0:
         return F
-    N = F.size
     rng = np.random.default_rng(seed)
-    E = rng.uniform(-1.0, 1.0, (N, N)) + 1j * rng.uniform(-1.0, 1.0, (N, N))
-    E /= spectral_norm(E)
-    return FarFieldMatrix(kappa=F.kappa, entries=F.entries * (1.0 + delta * E))
+    E = rng.uniform(-1.0, 1.0, np.shape(F)) + 1j * rng.uniform(-1.0, 1.0, np.shape(F))
+    E /= np.linalg.norm(E, 2)
+    return F * (1.0 + delta * E)
 
 
 # ---------------------------------------------------------------------------

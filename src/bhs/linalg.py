@@ -1,4 +1,4 @@
-"""Dense complex Tikhonov solves and the spectral norm, all from one SVD.
+"""Dense complex Tikhonov solves, every right-hand side from one SVD.
 
 With A = U diag(sigma) V*, the minimizer of ||A g - b||^2 + alpha ||g||^2 is
 
@@ -17,16 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["tikhonov_solve", "TikhonovFactorization", "spectral_norm"]
-
-
-def _check_matrix(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
-        raise ValueError("matrix contains non-finite entries")
-    return A
+__all__ = ["TikhonovFactorization"]
 
 
 class TikhonovFactorization:
@@ -42,7 +33,11 @@ class TikhonovFactorization:
     def __init__(self, A: np.ndarray, alpha: float):
         if alpha <= 0.0:
             raise ValueError(f"alpha must be > 0, got {alpha}")
-        A = _check_matrix(A)
+        A = np.asarray(A, dtype=np.complex128)
+        if A.ndim != 2:
+            raise ValueError(f"expected a matrix, got ndim={A.ndim}")
+        if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+            raise ValueError("matrix contains non-finite entries")
         self.alpha = float(alpha)
         u, sigma, vh = np.linalg.svd(A, full_matrices=False)
         # Rows of U* pre-scaled by the filter factors f = sigma / (sigma^2 + alpha):
@@ -85,24 +80,3 @@ class TikhonovFactorization:
             sq += a.view(np.float64) @ px.view(np.float64).T
         floor = len(G) * np.finfo(float).eps * np.abs(cG).sum()
         return np.sqrt(np.maximum(sq, floor, out=sq))
-
-
-def tikhonov_solve(A: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
-    """Tikhonov-regularized solution of A g = b.
-
-    Returns the minimizer of ||A g - b||^2 + alpha ||g||^2, i.e. the solution
-    of the normal equations (alpha I + A* A) g = A* b.
-
-    Parameters
-    ----------
-    A : (N, N) complex ndarray
-    b : (N,) complex ndarray
-    alpha : float
-        Regularization parameter, must be > 0.
-    """
-    return TikhonovFactorization(A, alpha).solve(b)
-
-
-def spectral_norm(E: np.ndarray) -> float:
-    """Largest singular value of a dense complex matrix; 0.0 for the zero matrix."""
-    return float(np.linalg.svd(_check_matrix(E), compute_uv=False).max(initial=0.0))

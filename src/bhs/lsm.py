@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import FarFieldMatrix, equiangular_directions
+from .forward import equiangular_directions
 from .grids import IndicatorMap, SamplingGrid
 from .linalg import TikhonovFactorization
 
@@ -48,29 +48,33 @@ def _phi_prefactor(kappa: float) -> complex:
     return -(0.5 / kappa**2) * np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * np.pi * kappa)
 
 
-def lsm_indicator(F: FarFieldMatrix, grid: SamplingGrid, alpha: float = DEFAULT_ALPHA,
-                  meta: dict | None = None) -> IndicatorMap:
+def lsm_indicator(F: np.ndarray, kappa: float, grid: SamplingGrid,
+                  alpha: float = DEFAULT_ALPHA, meta: dict | None = None) -> IndicatorMap:
     """Indicator map 1/||g_z||^2 over a sampling grid.
 
     Parameters
     ----------
-    F : FarFieldMatrix
-        Measured (possibly noisy) far-field data.
+    F : (N, N) complex ndarray
+        Measured (possibly noisy) far-field data on the equiangular grid.
+    kappa : float
+        Wavenumber of the data.
     grid : SamplingGrid
     alpha : float
         Tikhonov parameter; 1e-6 reproduces the reference experiments.
     meta : dict, optional
         Extra metadata recorded on the map.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    fact = TikhonovFactorization(F.entries, alpha)
+    F = np.asarray(F)
+    if F.ndim != 2 or F.shape[0] != F.shape[1]:
+        raise ValueError(f"far-field matrix must be square, got shape {F.shape}")
+    fact = TikhonovFactorization(F, alpha)
     # Any N here: data read from a file may have an odd direction count.
-    w = np.full(F.size, _phi_prefactor(F.kappa))
-    ex, ey = grid.plane_wave_factors(-F.kappa * equiangular_directions(F.size))
+    N = F.shape[0]
+    w = np.full(N, _phi_prefactor(kappa))
+    ex, ey = grid.plane_wave_factors(-kappa * equiangular_directions(N))
     # Phi_inf never vanishes, so g_z != 0 for every z and the inverse is safe.
     values = 1.0 / fact.plane_wave_norms(w, ex, ey).ravel() ** 2
-    info = {"method": "lsm", "kappa": F.kappa, "alpha": alpha}
+    info = {"method": "lsm", "kappa": kappa, "alpha": alpha}
     if meta:
         info.update(meta)
     return IndicatorMap(grid=grid, values=values, meta=info)

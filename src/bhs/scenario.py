@@ -2,7 +2,8 @@
 
 A scenario is a UTF-8 text file of ``key=value`` lines ('#' starts a
 comment, blank lines are skipped, a duplicated key keeps the last value
-with a warning). Unknown keys, malformed numbers and out-of-range values
+with a warning). Unknown keys, malformed or non-finite numbers and
+out-of-range values (grid bounds compared after defaults are filled in)
 raise :class:`ConfigError` naming the key and line.
 
 Recognized keys (defaults in parentheses):
@@ -57,6 +58,7 @@ __all__ = ["Scenario", "parse_scenario", "load_scenario", "run"]
 
 MODES = ("forward", "lsm", "esm", "esm-multilevel")
 
+_GRID_KEYS = ("grid_xmin", "grid_xmax", "grid_ymin", "grid_ymax", "grid_nx", "grid_ny")
 _GRID_DEFAULTS = {
     "lsm": (-1.5, 1.5, -1.5, 1.5, 128, 128),
     "esm": (-3.0, 3.0, -3.0, 3.0, 200, 200),
@@ -97,16 +99,14 @@ class Scenario:
             return self.alpha
         return _ALPHA_DEFAULTS["lsm" if self.mode == "lsm" else "esm"]
 
+    def _grid_values(self) -> dict:
+        """The grid_* keys with the mode's defaults filled in."""
+        defaults = _GRID_DEFAULTS["lsm" if self.mode == "lsm" else "esm"]
+        return {key: default if getattr(self, key) is None else getattr(self, key)
+                for key, default in zip(_GRID_KEYS, defaults)}
+
     def grid(self) -> SamplingGrid:
-        dx0, dx1, dy0, dy1, dnx, dny = _GRID_DEFAULTS["lsm" if self.mode == "lsm" else "esm"]
-        return SamplingGrid(
-            xmin=self.grid_xmin if self.grid_xmin is not None else dx0,
-            xmax=self.grid_xmax if self.grid_xmax is not None else dx1,
-            ymin=self.grid_ymin if self.grid_ymin is not None else dy0,
-            ymax=self.grid_ymax if self.grid_ymax is not None else dy1,
-            nx=self.grid_nx if self.grid_nx is not None else dnx,
-            ny=self.grid_ny if self.grid_ny is not None else dny,
-        )
+        return SamplingGrid(*self._grid_values().values())
 
     def wavenumbers(self) -> list:
         if self.L > 1:
@@ -146,17 +146,17 @@ def parse_scenario(text: str) -> Scenario:
             warnings.warn(f"duplicate key '{key}' on line {line_no}; last value wins")
         kind = _PARSERS[key]
         try:
-            if kind == "pair":
-                parts = [float(p) for p in value.split(",")]
-                if len(parts) != 2:
+            if kind in ("pair", "floats"):
+                parsed = tuple(float(p) for p in value.split(","))
+                if kind == "pair" and len(parsed) != 2:
                     raise ValueError("expected two comma-separated numbers")
-                raw[key] = tuple(parts)
-            elif kind == "floats":
-                raw[key] = tuple(float(p) for p in value.split(","))
             else:
-                raw[key] = kind(value)
+                parsed = kind(value)
         except ValueError as exc:
             _fail(key, line_no, f"malformed value {value!r} ({exc})")
+        if kind in (float, "pair", "floats") and not np.all(np.isfinite(parsed)):
+            _fail(key, line_no, f"must be finite, got {value!r}")
+        raw[key] = parsed
         lines_of[key] = line_no
 
     scenario = Scenario(**{"mode": raw.pop("mode", None), **raw})
@@ -196,6 +196,11 @@ def _validate(s: Scenario, lines_of: dict) -> None:
             _fail(key, where(key), "must be >= 2")
     if not s.directions:
         _fail("directions", where("directions"), "must be nonempty")
+    bounds = s._grid_values()
+    for lo, hi in (("grid_xmin", "grid_xmax"), ("grid_ymin", "grid_ymax")):
+        if not bounds[lo] < bounds[hi]:
+            key = lo if lo in lines_of else hi
+            _fail(key, where(key), f"needs {lo} < {hi}, got {bounds[lo]!r} and {bounds[hi]!r}")
 
     if s.farfield_in is None:
         if s.shape is None:
@@ -266,16 +271,13 @@ def _manifest(path, scenario: Scenario, diagnostics: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _synthesize_matrix(s: Scenario):
-    curve = make_named_curve(s.shape, s.center, s.scale)
-    F = far_field_matrix(curve, s.kappa, s.N, n=s.n)
-    return add_noise(F, s.delta, s.seed)
-
-
-def _obtain_matrix(s: Scenario):
+def _far_field_data(s: Scenario):
+    """The (N, N) far-field array and its wavenumber: read from farfield_in, or
+    synthesized with the configured noise."""
     if s.farfield_in is not None:
         return fileio.read_farfield(s.farfield_in)
-    return _synthesize_matrix(s)
+    curve = make_named_curve(s.shape, s.center, s.scale)
+    return add_noise(far_field_matrix(curve, s.kappa, s.N, n=s.n), s.delta, s.seed), s.kappa
 
 
 def _esm_columns(s: Scenario):
@@ -283,17 +285,17 @@ def _esm_columns(s: Scenario):
     kappas = s.wavenumbers()
     angles = np.asarray(s.directions, dtype=float)
     if s.farfield_in is not None:
-        F = fileio.read_farfield(s.farfield_in)
-        grid_angles = 2.0 * np.pi * np.arange(F.size) / F.size
+        F, kappa = fileio.read_farfield(s.farfield_in)
+        grid_angles = 2.0 * np.pi * np.arange(len(F)) / len(F)
         cols = []
         for angle in angles:
             gap = (grid_angles - angle) % (2 * np.pi)    # circular distance, wrapping at 2 pi
             matches = np.where(np.minimum(gap, 2 * np.pi - gap) < 1e-9)[0]
             if len(matches) == 0:
                 raise ConfigError(f"direction {float(angle)!r} is not on the "
-                                  f"{F.size}-point grid of {s.farfield_in}")
-            cols.append(F.entries[:, matches[0]])
-        return np.asarray([cols]), [F.kappa]
+                                  f"{len(F)}-point grid of {s.farfield_in}")
+            cols.append(F[:, matches[0]])
+        return np.asarray([cols]), [kappa]
     curve = make_named_curve(s.shape, s.center, s.scale)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     columns = [far_field_columns(curve, k, s.N, dirs, n=s.n).T for k in kappas]
@@ -301,18 +303,18 @@ def _esm_columns(s: Scenario):
 
 
 def _run_forward(s: Scenario, prefix: str):
-    F = _synthesize_matrix(s)
+    F, kappa = _far_field_data(s)
     residual = reciprocity_residual(F)
     outputs = [f"{prefix}.ff"]
-    fileio.write_farfield(outputs[0], F)
+    fileio.write_farfield(outputs[0], F, kappa)
     return outputs, {"reciprocity_residual": residual}
 
 
 def _run_lsm(s: Scenario, prefix: str):
-    F = _obtain_matrix(s)
-    residual = reciprocity_residual(F) if F.size % 2 == 0 else float("nan")
+    F, kappa = _far_field_data(s)
+    residual = reciprocity_residual(F) if len(F) % 2 == 0 else float("nan")
     meta = {"delta": s.delta, "seed": s.seed, "shape": s.shape or "file"}
-    indicator = lsm.lsm_indicator(F, s.grid(), s.effective_alpha(), meta=meta)
+    indicator = lsm.lsm_indicator(F, kappa, s.grid(), s.effective_alpha(), meta=meta)
     mask = lsm.classify(indicator, s.zeta)
     outputs = [f"{prefix}.ind", f"{prefix}.mask", f"{prefix}.pgm"]
     fileio.write_indicator(outputs[0], indicator)

@@ -39,9 +39,9 @@ def winding_inside(curve, points: np.ndarray) -> np.ndarray:
     return np.abs(steps.sum(axis=1)) > np.pi
 
 
-def lsm_quality(F, curve, grid=None, alpha=1e-6, zeta=0.2):
+def lsm_quality(F, kappa, curve, grid=None, alpha=1e-6, zeta=0.2):
     grid = grid or SamplingGrid(-1.5, 1.5, -1.5, 1.5, 64, 64)
-    indicator = lsm_indicator(F, grid, alpha)
+    indicator = lsm_indicator(F, kappa, grid, alpha)
     pts = grid.points()
     inside = winding_inside(curve, pts)
     ratio = indicator.values[inside].mean() / indicator.values[~inside].mean()
@@ -113,11 +113,11 @@ def test_criterion_05_lsm_reconstruction():
     for name in ("circle", "peanut"):
         curve = make_named_curve(name)
         F = far_field_matrix(curve, kappa, 32, n=128)
-        ratio, centroid = lsm_quality(F, curve)
+        ratio, centroid = lsm_quality(F, kappa, curve)
         offset = np.hypot(*centroid)
         ok = ok and ratio > 5.0 and offset < 0.1
         details.append(f"{name}: ratio {ratio:.1f}, centroid offset {offset:.3f}")
-        noisy_ratio, _ = lsm_quality(add_noise(F, 0.05, seed=2024), curve)
+        noisy_ratio, _ = lsm_quality(add_noise(F, 0.05, seed=2024), kappa, curve)
         ok = ok and noisy_ratio > 2.0
         details.append(f"{name}+5% noise: ratio {noisy_ratio:.1f}")
     ok = report(5, "LSM: ratio > 5 and centroid < 0.1 noiseless; ratio > 2 at 5% noise",
@@ -131,7 +131,7 @@ def test_criterion_06_dirichlet_eigenvalue_insensitivity():
     details = []
     for kappa in (2.40483, 5.5201):  # 6-digit J_0 roots
         F = far_field_matrix(curve, kappa, 32, n=128)
-        ratio, _ = lsm_quality(F, curve)
+        ratio, _ = lsm_quality(F, kappa, curve)
         ok = ok and ratio > 5.0
         details.append(f"kappa={kappa}: ratio {ratio:.1f}")
     ok = report(6, "LSM works at Dirichlet-eigenvalue wavenumbers (ratio > 5)",
@@ -222,8 +222,8 @@ def test_criterion_10_determinism_and_formats(tmp_path):
     # exact far-field and indicator round trips
     rng = np.random.default_rng(0)
     F = far_field_matrix(make_named_curve("circle"), np.pi, 8, n=16)
-    write_farfield(tmp_path / "x.ff", F)
-    round_trip_ok = np.array_equal(read_farfield(tmp_path / "x.ff").entries, F.entries)
+    write_farfield(tmp_path / "x.ff", F, np.pi)
+    round_trip_ok = np.array_equal(read_farfield(tmp_path / "x.ff")[0], F)
     grid = SamplingGrid(0, 1, 0, 1, 3, 3)
     indicator = IndicatorMap(grid=grid, values=rng.random(9), meta={"method": "lsm"})
     write_indicator(tmp_path / "x.ind", indicator)

@@ -11,7 +11,7 @@ import bhs
 from bhs.cli import main
 from bhs.exceptions import ConfigError
 from bhs.fileio import read_farfield, read_indicator, write_farfield
-from bhs.forward import FarFieldMatrix, equiangular_directions, far_field_columns
+from bhs.forward import equiangular_directions, far_field_columns
 from bhs.geometry import make_named_curve
 from bhs.scenario import Scenario, parse_scenario, run
 
@@ -83,6 +83,22 @@ def test_parse_comments_and_duplicates():
         # The multilevel search scans one column; further angles would only be recorded.
         ("mode=esm-multilevel\nshape=apple\nkappa=1\nR0=4\ndirections=1.047,2.5\n",
          "key 'directions' \\(line 5\\)"),
+        # Every float must be finite: NaN passes the range checks, inf overflows.
+        ("mode=lsm\nshape=apple\nkappa=nan\n", "key 'kappa' \\(line 3\\)"),
+        ("mode=lsm\nshape=apple\nkappa=1e400\n", "key 'kappa' \\(line 3\\)"),
+        ("mode=lsm\nshape=apple\nkappa=1\nalpha=nan\n", "key 'alpha' \\(line 4\\)"),
+        ("mode=lsm\nshape=apple\nkappa=1\ndelta=nan\n", "key 'delta' \\(line 4\\)"),
+        ("mode=lsm\nshape=apple\nkappa=1\nzeta=nan\n", "key 'zeta' \\(line 4\\)"),
+        ("mode=lsm\nshape=apple\nkappa=1\nscale=inf\n", "key 'scale' \\(line 4\\)"),
+        ("mode=lsm\nshape=apple\nkappa=1\ncenter=0,nan\n", "key 'center' \\(line 4\\)"),
+        ("mode=lsm\nshape=apple\nkappa=1\ngrid_ymin=-inf\n", "key 'grid_ymin' \\(line 4\\)"),
+        ("mode=esm\nshape=apple\nkappa=1\nR=inf\n", "key 'R' \\(line 4\\)"),
+        ("mode=esm\nshape=apple\nkappa=1\nR=1\ndirections=nan\n",
+         "key 'directions' \\(line 5\\)"),
+        # Grid bounds are compared after the mode's defaults are filled in.
+        ("mode=lsm\nshape=apple\nkappa=1\ngrid_xmin=2\n", "key 'grid_xmin' \\(line 4\\)"),
+        ("mode=esm\nshape=apple\nkappa=1\nR=1\ngrid_ymax=-4\n",
+         "key 'grid_ymax' \\(line 5\\)"),
     ],
 )
 def test_parse_errors_name_the_key(text, needle):
@@ -139,8 +155,8 @@ def forward_outputs(tmp_path_factory):
 def test_forward_driver_writes_data(forward_outputs):
     out, outputs, diagnostics = forward_outputs
     assert diagnostics["reciprocity_residual"] < 1e-4
-    F = read_farfield(f"{out}.ff")
-    assert F.size == 32
+    F, _ = read_farfield(f"{out}.ff")
+    assert len(F) == 32
 
 
 def test_manifest_is_rerunnable_scenario(forward_outputs, tmp_path):
@@ -199,7 +215,7 @@ def test_lsm_from_odd_direction_count_file(tmp_path):
     N = 31
     entries = far_field_columns(make_named_curve("circle"), 2 * np.pi, N,
                                 equiangular_directions(N), n=64)
-    write_farfield(tmp_path / "odd.ff", FarFieldMatrix(kappa=2 * np.pi, entries=entries))
+    write_farfield(tmp_path / "odd.ff", entries, 2 * np.pi)
     text = f"mode=lsm\nfarfield_in={tmp_path / 'odd.ff'}\ngrid_nx=32\ngrid_ny=32\nzeta=0.2\n"
     with pytest.warns(UserWarning):
         outputs, diagnostics = run(parse_scenario(text), out=str(tmp_path / "odd"))

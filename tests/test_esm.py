@@ -122,7 +122,7 @@ def test_translated_kernel_composition():
 
 def test_translated_kernel_matches_shared_factorization():
     """The z-dependent Tikhonov solve agrees with the factored route used internally."""
-    from bhs.linalg import tikhonov_solve
+    from bhs.linalg import TikhonovFactorization
 
     U = build_disk_kernel(0.6, 2 * np.pi, 20)
     rng = np.random.default_rng(5)
@@ -132,7 +132,7 @@ def test_translated_kernel_matches_shared_factorization():
     grid = SamplingGrid(z[0] - 0.1, z[0] + 0.1, z[1] - 0.1, z[1] + 0.1, 3, 3)
     indicator = esm_indicator(b[None, None, :], [2 * np.pi], grid, 0.6, alpha)
     direct = np.array([
-        np.linalg.norm(tikhonov_solve(translated_kernel(p, U, 2 * np.pi), b, alpha))
+        np.linalg.norm(TikhonovFactorization(translated_kernel(p, U, 2 * np.pi), alpha).solve(b))
         for p in grid.points()
     ])
     np.testing.assert_allclose(indicator.values, direct / direct.max(), rtol=1e-10)
@@ -141,7 +141,7 @@ def test_translated_kernel_matches_shared_factorization():
 def test_multidata_indicator_matches_per_point_solves():
     """Two wavenumbers, three directions, non-square off-centre grid: the
     separable grid evaluation equals the sum of per-point translated solves."""
-    from bhs.linalg import tikhonov_solve
+    from bhs.linalg import TikhonovFactorization
 
     kappas, N, R, alpha = [np.pi, 1.7 * np.pi], 18, 0.7, 1e-4
     rng = np.random.default_rng(21)
@@ -153,7 +153,8 @@ def test_multidata_indicator_matches_per_point_solves():
         U = build_disk_kernel(R, kappa, N)
         for k, p in enumerate(grid.points()):
             A = translated_kernel(p, U, kappa)
-            direct[k] += sum(np.linalg.norm(tikhonov_solve(A, b, alpha)) for b in columns[ell])
+            direct[k] += sum(np.linalg.norm(TikhonovFactorization(A, alpha).solve(b))
+                             for b in columns[ell])
     np.testing.assert_allclose(indicator.values, direct / direct.max(), rtol=1e-10)
 
 

@@ -8,7 +8,6 @@ from scipy import special as sp
 from bhs.exceptions import IllConditionedSystemError, NearBoundaryError
 from bhs.forward import (
     ClampedSolver,
-    FarFieldMatrix,
     add_noise,
     analytic_disk_far_field,
     assemble_system,
@@ -159,7 +158,7 @@ def test_circle_far_field_rotation_symmetry(circle_disc):
 def test_far_field_matrix_circle_circulant():
     F = far_field_matrix(make_named_curve("circle"), np.pi, 16, n=64)
     for i in range(1, 16):
-        np.testing.assert_allclose(F.entries[i], np.roll(F.entries[0], i), atol=1e-8)
+        np.testing.assert_allclose(F[i], np.roll(F[0], i), atol=1e-8)
 
 
 @pytest.mark.parametrize("name,tol", [("apple", 1e-8), ("peach", 1e-5)])
@@ -167,13 +166,13 @@ def test_far_field_matrix_node_doubling(name, tol):
     curve = make_named_curve(name)
     F1 = far_field_matrix(curve, np.pi, 8, n=128)
     F2 = far_field_matrix(curve, np.pi, 8, n=256)
-    assert np.max(np.abs(F1.entries - F2.entries)) < tol
+    assert np.max(np.abs(F1 - F2)) < tol
 
 
 def test_superalgebraic_convergence():
     curve = make_named_curve("apple")
-    reference = far_field_matrix(curve, np.pi, 8, n=256).entries
-    errors = [np.max(np.abs(far_field_matrix(curve, np.pi, 8, n=n).entries - reference))
+    reference = far_field_matrix(curve, np.pi, 8, n=256)
+    errors = [np.max(np.abs(far_field_matrix(curve, np.pi, 8, n=n) - reference))
               for n in (16, 32, 64)]
     for coarse, fine in zip(errors, errors[1:]):
         if coarse < 1e-12:  # already resolved
@@ -271,22 +270,22 @@ def test_condition_estimate_tracks_dense_condition_number():
 # ---------------------------------------------------------------------------
 def test_add_noise_zero_delta(apple_solution):
     F = far_field_matrix(make_named_curve("apple"), np.pi, 16, n=64)
-    assert np.array_equal(add_noise(F, 0.0, 7).entries, F.entries)
+    assert np.array_equal(add_noise(F, 0.0, 7), F)
 
 
 def test_add_noise_unit_spectral_norm():
-    F = FarFieldMatrix(kappa=np.pi, entries=np.ones((24, 24), complex))
+    F = np.ones((24, 24), complex)
     noisy = add_noise(F, 0.02, seed=123)
-    E = (noisy.entries / F.entries - 1.0) / 0.02
+    E = (noisy / F - 1.0) / 0.02
     assert np.linalg.svd(E, compute_uv=False)[0] == pytest.approx(1.0, rel=1e-8)
 
 
 def test_add_noise_deterministic():
-    F = FarFieldMatrix(kappa=np.pi, entries=np.full((12, 12), 2.0 + 1.0j))
-    a = add_noise(F, 0.05, seed=99).entries
-    b = add_noise(F, 0.05, seed=99).entries
+    F = np.full((12, 12), 2.0 + 1.0j)
+    a = add_noise(F, 0.05, seed=99)
+    b = add_noise(F, 0.05, seed=99)
     assert np.array_equal(a, b)
-    c = add_noise(F, 0.05, seed=100).entries
+    c = add_noise(F, 0.05, seed=100)
     assert not np.array_equal(a, c)
 
 
@@ -307,7 +306,7 @@ def test_herglotz_superposition(circle_disc):
     phiH, _ = ClampedSolver(circle_disc, kappa).solve_columns(h1, h2)
     lhs = far_field(phiH, circle_disc, kappa, dirs)[:, 0]
     F = far_field_matrix(make_named_curve("circle"), kappa, N, n=128)
-    np.testing.assert_allclose(lhs, w * F.entries @ g, atol=1e-8)
+    np.testing.assert_allclose(lhs, w * F @ g, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -16,29 +16,28 @@ from bhs.fileio import (
     write_localization,
     write_mask,
 )
-from bhs.forward import FarFieldMatrix
 from bhs.grids import IndicatorMap, SamplingGrid
 
 
-def random_farfield(rng, N=6, kappa=np.pi):
+def random_farfield(rng, N=6):
     entries = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    return FarFieldMatrix(kappa=kappa, entries=entries * np.exp(rng.standard_normal()))
+    return entries * np.exp(rng.standard_normal())
 
 
 def test_farfield_round_trip_exact(tmp_path):
     rng = np.random.default_rng(1)
-    F = random_farfield(rng, N=8, kappa=2 * np.pi / 3)
+    F, kappa = random_farfield(rng, N=8), 2 * np.pi / 3
     path = tmp_path / "data.ff"
-    write_farfield(path, F)
-    G = read_farfield(path)
-    assert G.kappa == F.kappa
-    assert np.array_equal(G.entries, F.entries)
+    write_farfield(path, F, kappa)
+    G, kappa_read = read_farfield(path)
+    assert kappa_read == kappa
+    assert np.array_equal(G, F)
 
 
 def test_farfield_zero_matrix_layout(tmp_path):
-    F = FarFieldMatrix(kappa=1.0, entries=np.zeros((4, 4), complex))
+    F = np.zeros((4, 4), complex)
     path = tmp_path / "zero.ff"
-    write_farfield(path, F)
+    write_farfield(path, F, 1.0)
     lines = path.read_text().splitlines()
     assert lines[0] == "#bhff v1"
     assert lines[2] == "N=4"
@@ -50,7 +49,7 @@ def test_farfield_decimal_text_pinned(tmp_path):
     entries = np.array([[complex(0.1, -0.0), complex(1e-300, 1.0)],
                         [complex(-0.0, 0.1), complex(2.5, -3.0)]])
     path = tmp_path / "pinned.ff"
-    write_farfield(path, FarFieldMatrix(kappa=np.pi, entries=entries))
+    write_farfield(path, entries, np.pi)
     assert path.read_text().splitlines() == [
         "#bhff v1",
         "kappa=3.1415926535897931",
@@ -58,7 +57,7 @@ def test_farfield_decimal_text_pinned(tmp_path):
         "0.10000000000000001 -0 1e-300 1",
         "-0 0.10000000000000001 2.5 -3",
     ]
-    back = read_farfield(path).entries
+    back, _ = read_farfield(path)
     assert np.array_equal(back, entries)
     assert np.signbit(back[0, 0].imag) and np.signbit(back[1, 0].real)
 
@@ -67,8 +66,8 @@ def test_farfield_odd_grid_flagged(tmp_path):
     path = tmp_path / "odd.ff"
     path.write_text("#bhff v1\nkappa=1\nN=3\n" + "\n".join(["0 0 0 0 0 0"] * 3) + "\n")
     with pytest.warns(UserWarning, match="odd direction count"):
-        F = read_farfield(path)
-    assert F.size == 3
+        F, _ = read_farfield(path)
+    assert len(F) == 3
 
 
 def test_farfield_format_errors(tmp_path):
@@ -92,6 +91,12 @@ def test_farfield_format_errors(tmp_path):
     not_a_number.write_text("#bhff v1\nkappa=1\nN=2\n0 0 0 0\n0 0 abc 0\n")
     with pytest.raises(FormatError, match="row 1: could not convert string to float: 'abc'"):
         read_farfield(not_a_number)
+    for value in ("nan", "inf", "-inf"):
+        non_finite = tmp_path / f"{value}.ff"
+        non_finite.write_text(f"#bhff v1\nkappa=1\nN=2\n0 0 0 0\n0 {value} 0 0\n")
+        with pytest.raises(FormatError, match="row 1 has a non-finite value"):
+            read_farfield(non_finite)
+        assert main(["verify", str(non_finite)]) == 2
 
 
 @pytest.mark.parametrize(
@@ -141,6 +146,12 @@ def test_indicator_reader_rejects_bad_files(tmp_path):
     ragged.write_text("#bhind v1\nxmin=0\nxmax=1\nymin=0\nymax=1\nnx=2\nny=2\nmeta.a=b\n0 0\n0\n")
     with pytest.raises(FormatError, match="row 1 has 1 values, expected 2"):
         read_indicator(ragged)
+    for value, needle in (("nan", "non-finite"), ("inf", "non-finite"), ("-1e-3", "nonnegative")):
+        bad_value = tmp_path / "d.ind"
+        bad_value.write_text(f"#bhind v1\nxmin=0\nxmax=1\nymin=0\nymax=1\nnx=2\nny=2\n"
+                             f"0 0\n{value} 0\n")
+        with pytest.raises(FormatError, match=f"d.ind: .*{needle}"):
+            read_indicator(bad_value)
 
 
 def test_heatmap_pinned_two_by_two(tmp_path):

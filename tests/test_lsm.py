@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bhs.forward import FarFieldMatrix, add_noise, far_field_matrix
+from bhs.forward import add_noise, far_field_matrix
 from bhs.geometry import make_named_curve
 from bhs.grids import IndicatorMap, SamplingGrid
 from bhs.lsm import classify, lsm_indicator, phi_infinity_rhs
@@ -53,9 +53,9 @@ def test_phi_infinity_even_grid_required():
 # ---------------------------------------------------------------------------
 def test_indicator_closed_form_scaled_identity():
     kappa, c, alpha, N = np.pi, 2.0 - 1.5j, 1e-3, 8
-    F = FarFieldMatrix(kappa=kappa, entries=c * np.eye(N, dtype=complex))
+    F = c * np.eye(N, dtype=complex)
     grid = small_grid(res=4)
-    indicator = lsm_indicator(F, grid, alpha)
+    indicator = lsm_indicator(F, kappa, grid, alpha)
     for k, z in enumerate(grid.points()):
         v = phi_infinity_rhs(z, kappa, N)
         expected = (abs(c) ** 2 + alpha) ** 2 / (abs(c) ** 2 * np.linalg.norm(v) ** 2)
@@ -70,28 +70,27 @@ def test_indicator_matches_dense_phi_block(N):
 
     kappa, alpha = 2 * np.pi, 1e-6
     rng = np.random.default_rng(N)
-    F = FarFieldMatrix(kappa=kappa, entries=rng.standard_normal((N, N))
-                       + 1j * rng.standard_normal((N, N)))
+    F = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     grid = SamplingGrid(0.3, 1.9, -1.2, -0.1, 7, 5)
     th = 2 * np.pi * np.arange(N) / N
     d = np.stack([np.cos(th), np.sin(th)], axis=-1)
     prefactor = -(0.5 / kappa**2) * np.exp(1j * np.pi / 4) / np.sqrt(8 * np.pi * kappa)
     P = prefactor * np.exp(-1j * kappa * (d @ grid.points().T))
-    g = TikhonovFactorization(F.entries, alpha).solve(P)
+    g = TikhonovFactorization(F, alpha).solve(P)
     expected = 1.0 / np.linalg.norm(g, axis=0) ** 2
-    np.testing.assert_allclose(lsm_indicator(F, grid, alpha).values, expected, rtol=1e-10)
+    np.testing.assert_allclose(lsm_indicator(F, kappa, grid, alpha).values, expected, rtol=1e-10)
 
 
 def test_indicator_monotone_in_alpha(disk_F):
     # ||g_z|| is non-increasing in alpha, so 1/||g_z||^2 is non-decreasing.
     grid = small_grid(res=16)
-    v1 = lsm_indicator(disk_F, grid, 1e-6).values
-    v2 = lsm_indicator(disk_F, grid, 2e-6).values
+    v1 = lsm_indicator(disk_F, 2 * np.pi, grid, 1e-6).values
+    v2 = lsm_indicator(disk_F, 2 * np.pi, grid, 2e-6).values
     assert np.all(v2 >= v1 * (1 - 1e-12))
 
 
 def test_disk_reconstruction_ratio(disk_F):
-    indicator = lsm_indicator(disk_F, small_grid(res=32), 1e-6)
+    indicator = lsm_indicator(disk_F, 2 * np.pi, small_grid(res=32), 1e-6)
     assert inside_outside_ratio(indicator) > 5.0
 
 
@@ -102,8 +101,8 @@ def test_translation_covariance():
     F0 = far_field_matrix(make_named_curve("circle"), kappa, N, n=n)
     Fc = far_field_matrix(make_named_curve("circle", center=c), kappa, N, n=n)
     grid = small_grid(extent=1.5, res=33)  # spacing 3/32, so c shifts by whole cells
-    m0 = lsm_indicator(F0, grid, 1e-6).as_array()
-    mc = lsm_indicator(Fc, grid, 1e-6).as_array()
+    m0 = lsm_indicator(F0, kappa, grid, 1e-6).as_array()
+    mc = lsm_indicator(Fc, kappa, grid, 1e-6).as_array()
     shift_x = int(round(c[0] / (3.0 / 32)))
     shift_y = int(round(c[1] / (3.0 / 32)))
     # compare on the overlapping window: mc at z equals m0 at z - c
@@ -114,7 +113,7 @@ def test_translation_covariance():
 
 def test_noise_robustness(disk_F):
     noisy = add_noise(disk_F, 0.05, seed=11)
-    indicator = lsm_indicator(noisy, small_grid(res=32), 1e-6)
+    indicator = lsm_indicator(noisy, 2 * np.pi, small_grid(res=32), 1e-6)
     assert inside_outside_ratio(indicator) > 2.0
 
 
@@ -126,12 +125,12 @@ def test_concurrent_per_point_solves_match_batched_map(disk_F):
     from bhs.linalg import TikhonovFactorization
 
     grid = small_grid(res=16)
-    batched = lsm_indicator(disk_F, grid, 1e-6).values
-    fact = TikhonovFactorization(disk_F.entries, 1e-6)
+    batched = lsm_indicator(disk_F, 2 * np.pi, grid, 1e-6).values
+    fact = TikhonovFactorization(disk_F, 1e-6)
     pts = grid.points()
 
     def value(k):
-        g = fact.solve(phi_infinity_rhs(pts[k], disk_F.kappa, disk_F.size))
+        g = fact.solve(phi_infinity_rhs(pts[k], 2 * np.pi, len(disk_F)))
         return 1.0 / np.linalg.norm(g) ** 2
 
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -155,7 +154,7 @@ def test_classify_extreme_cutoffs():
 
 
 def test_disk_mask_centroid(disk_F):
-    indicator = lsm_indicator(disk_F, small_grid(res=32), 1e-6)
+    indicator = lsm_indicator(disk_F, 2 * np.pi, small_grid(res=32), 1e-6)
     mask = classify(indicator, 0.2)
     pts = indicator.grid.points()
     centroid = pts[mask].mean(axis=0)
