@@ -22,13 +22,12 @@ from .exceptions import (
     OracleError,
 )
 from .geometry import BoundaryDiscretization, ParametricCurve, discretize, make_named_curve
-from .grids import IndicatorMap, SamplingGrid
+from .grids import IndicatorMap, SamplingGrid, equiangular_angles, equiangular_directions
 from .forward import (
     ClampedSolver,
     add_noise,
     analytic_disk_far_field,
     assemble_system,
-    equiangular_directions,
     evaluate_scattered,
     far_field,
     far_field_columns,

@@ -66,10 +66,7 @@ def _verify(path: str) -> int:
     print(f"kappa={kappa:.17g}")
     print(f"N={len(F)}")
     print("directions=equiangular, theta_i = 2*pi*i/N, 0-based")
-    if len(F) % 2 == 0:
-        print(f"reciprocity_residual={reciprocity_residual(F):.6e}")
-    else:
-        print("reciprocity_residual=unavailable (odd direction count)")
+    print(f"reciprocity_residual={reciprocity_residual(F):.6e}")
     return 0
 
 

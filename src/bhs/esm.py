@@ -42,10 +42,10 @@ from typing import Sequence
 
 import numpy as np
 from scipy import special as _sp
+from scipy.linalg import circulant
 
 from .exceptions import DataError
-from .forward import equiangular_directions
-from .grids import IndicatorMap, SamplingGrid
+from .grids import IndicatorMap, SamplingGrid, equiangular_angles, equiangular_directions
 from .linalg import TikhonovFactorization
 
 __all__ = [
@@ -67,12 +67,12 @@ _LEVEL_GRID_CAP = 256
 _LEVEL_GRID_FRACTION = 32
 
 
-def _mode_ratios(R: float, kappa: float, tail_tol: float = _TAIL_TOL) -> np.ndarray:
+def _mode_ratios(R: float, kappa: float) -> np.ndarray:
     """Series coefficients J_n(kR)/H_n^(1)(kR), truncated at the smallest
-    n >= kR + 10 whose ratio magnitude falls below ``tail_tol``."""
+    n >= kR + 10 whose ratio magnitude falls below ``_TAIL_TOL``."""
     z = kappa * R
     n_max = max(int(np.ceil(z + 10.0)), 1)
-    while abs(_sp.jv(n_max, z) / _sp.hankel1(n_max, z)) >= tail_tol:
+    while abs(_sp.jv(n_max, z) / _sp.hankel1(n_max, z)) >= _TAIL_TOL:
         n_max += 1
     ns = np.arange(n_max + 1)
     return _sp.jv(ns, z) / _sp.hankel1(ns, z)
@@ -90,7 +90,7 @@ def disk_far_field(R: float, kappa: float, theta_x, theta_y) -> complex | np.nda
     them. H_n^(1) never vanishes for real positive argument, so every term
     is finite.
     """
-    if R <= 0.0 or kappa <= 0.0:
+    if not (R > 0.0 and kappa > 0.0):
         raise ValueError("R and kappa must be positive")
     ratios = _mode_ratios(R, kappa)
     delta = np.asarray(theta_x, dtype=float) - np.asarray(theta_y, dtype=float)
@@ -125,20 +125,18 @@ def _guard_radius(R: float, kappa: float) -> float:
 def build_disk_kernel(R: float, kappa: float, N: int) -> np.ndarray:
     """Disk far-field matrix U[i, j] (N, N) on the equiangular grid.
 
-    Circulant (function of (i - j) mod N) and symmetric by construction. The
-    Dirichlet-eigenvalue guard may enlarge R by 1 percent first.
+    Circulant (function of (i - j) mod N, with column 0 the values U(theta_i, 0))
+    and symmetric by construction. The Dirichlet-eigenvalue guard may enlarge R
+    by 1 percent first.
     """
-    if R <= 0.0:
+    if not R > 0.0:
         raise ValueError(f"radius must be > 0, got {R}")
     if not kappa > 0.0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
     if N < 2:
         raise ValueError(f"direction count must be >= 2, got {N}")
     R = _guard_radius(R, kappa)
-    dth = 2.0 * np.pi * np.arange(N) / N
-    row = disk_far_field(R, kappa, dth, 0.0)      # U as a function of theta_x - theta_y
-    idx = np.arange(N)
-    return row[(idx[:, None] - idx[None, :]) % N]
+    return circulant(disk_far_field(R, kappa, equiangular_angles(N), 0.0))
 
 
 def translated_kernel(z, U: np.ndarray, kappa: float) -> np.ndarray:
@@ -235,7 +233,7 @@ def multilevel_esm(column, kappa: float, R0: float, region,
     minimizer and radius are returned. If the very first refinement
     escapes, the level-0 result is returned flagged low-confidence.
     """
-    if R0 <= 0.0:
+    if not R0 > 0.0:
         raise ValueError(f"R0 must be > 0, got {R0}")
     column = np.asarray(column, dtype=np.complex128).reshape(-1)
 

@@ -3,7 +3,7 @@
 All numeric output uses 17-significant-digit decimals, which round-trips
 IEEE doubles exactly, keeps files diff-able, and stays language-portable.
 Every format starts with a magic+version line; readers reject unknown
-versions. Direction grids are implicit and 0-based: theta_i = 2 pi i / N.
+versions. Direction grids are implicit, 0-based (:func:`bhs.grids.equiangular_directions`).
 
 Far-field, indicator, mask and heatmap files are tables, written by
 ``_write`` and parsed by ``_read``/``_rows``: the one place the row format

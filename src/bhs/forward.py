@@ -45,6 +45,7 @@ exactly and the Helmholtz single layer radiates
 
 with no residual constant (pinned by the large-r test in the suite). The
 evanescent part decays like e^{-kr}/sqrt(r) and contributes nothing.
+Observation directions come from :func:`bhs.grids.equiangular_directions`.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ from scipy import special as _sp
 from . import special
 from .exceptions import IllConditionedSystemError, NearBoundaryError, OracleError
 from .geometry import BoundaryDiscretization, ParametricCurve, discretize
+from .grids import equiangular_directions
 
 __all__ = [
-    "equiangular_directions",
     "plane_wave_data",
     "assemble_system",
     "ClampedSolver",
@@ -82,12 +83,6 @@ _COND_LIMIT = 1e12
 _LU_SOLVE_LOCK = threading.Lock()
 
 
-def equiangular_directions(N: int) -> np.ndarray:
-    """Unit vectors (cos theta_i, sin theta_i), theta_i = 2 pi i / N, shape (N, 2)."""
-    th = 2.0 * np.pi * np.arange(N) / N
-    return np.stack([np.cos(th), np.sin(th)], axis=-1)
-
-
 def plane_wave_data(disc: BoundaryDiscretization, kappa: float, directions):
     """Clamped scattering data h1 = -u_inc, h2 = -du_inc/dnu of plane waves e^{i kappa x.d_j}.
 
@@ -96,7 +91,7 @@ def plane_wave_data(disc: BoundaryDiscretization, kappa: float, directions):
     column per incident wave.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if np.any(np.abs(np.hypot(directions[:, 0], directions[:, 1]) - 1.0) > 1e-14):
+    if not np.all(np.abs(np.hypot(directions[:, 0], directions[:, 1]) - 1.0) <= 1e-14):
         raise ValueError("incident directions must be unit vectors")
     phase = np.exp(1j * kappa * (disc.nodes @ directions.T))      # (m, J)
     return -phase, -1j * kappa * (disc.normals @ directions.T) * phase
@@ -144,7 +139,7 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
         If kappa times the largest node distance exceeds the argument range
         of ``bhs.special``.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
     m = disc.node_count
     n = disc.n
@@ -172,8 +167,7 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
     w_trap = np.pi / n
     log_sin2 = np.zeros(m)  # 0 on the diagonal, whose limit B's diagonal carries
     log_sin2[1:] = np.log(4.0 * np.sin(np.arange(1, m) * (np.pi / (2 * n))) ** 2)
-    idx = np.arange(m)
-    W = (_kress_log_weights(n) - w_trap * log_sin2)[(idx[:, None] - idx[None, :]) % m]
+    W = sla.circulant(_kress_log_weights(n) - w_trap * log_sin2)
     jrow = jac[None, :]
     out = np.empty((2 * m, 2 * m), dtype=np.complex128, order="F")
     top, bottom = slice(0, m), slice(m, 2 * m)
@@ -216,6 +210,7 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
         -(kappa / (2.0 * np.pi)) * special.bessel_k(1, kr) * c_over_r * jrow,
         0.0, curv_diag)
 
+    idx = np.arange(m)
     out[m + idx, idx] -= 0.5      # K'_k - I/2
     out[m + idx, m + idx] -= 0.5  # Kt'_k - I/2
     return out
@@ -301,7 +296,7 @@ def far_field(phiH: np.ndarray, disc: BoundaryDiscretization, kappa: float, xhat
     if phiH.ndim != 2:
         raise ValueError(f"phiH must have shape (m, J), got {phiH.shape}")
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    if np.any(np.abs(np.hypot(xhat[:, 0], xhat[:, 1]) - 1.0) > 1e-12):
+    if not np.all(np.abs(np.hypot(xhat[:, 0], xhat[:, 1]) - 1.0) <= 1e-12):
         raise ValueError("observation directions must be unit vectors")
     E = np.exp(-1j * kappa * (xhat @ disc.nodes.T))  # (N, m)
     return E @ (phiH * (disc.jacobians[:, None] * disc.weight))
@@ -327,9 +322,9 @@ def far_field_columns(curve: ParametricCurve, kappa: float, obs_count: int,
 def far_field_matrix(curve: ParametricCurve, kappa: float, N: int, n: int = 128) -> np.ndarray:
     """Discretized far-field operator F[i, j] = u_inf(xhat_i, d_j), an (N, N) complex array.
 
-    Observation and incidence share the equiangular grid theta_i = 2 pi i / N,
-    so -xhat_i is row (i + N/2) mod N. N must be even (so that -xhat lies on
-    the grid for the reciprocity diagnostic) and at least 8.
+    Observation and incidence share the equiangular grid theta_i = 2 pi i / N.
+    N must be even (so that -xhat lies on the grid for the reciprocity
+    diagnostic) and at least 8.
     """
     if N < 8 or N % 2 != 0:
         raise ValueError(f"direction count N must be even and >= 8, got {N}")
@@ -340,13 +335,15 @@ def reciprocity_residual(F: np.ndarray) -> float:
     """Relative residual of u_inf(-xhat, d) = u_inf(-d, xhat) on the grid.
 
     A solver correctness witness: small for consistent data, O(noise) for
-    perturbed data. F must be square with an even direction count.
+    perturbed data. F must be square. For an odd direction count -xhat is
+    not on the grid and the residual is NaN.
     """
     F = np.asarray(F)
-    if F.ndim != 2 or F.shape[0] != F.shape[1] or F.shape[0] % 2 != 0:
-        raise ValueError(f"reciprocity diagnostic needs a square far field of even size, "
-                         f"got shape {F.shape}")
+    if F.ndim != 2 or F.shape[0] != F.shape[1]:
+        raise ValueError(f"reciprocity diagnostic needs a square far field, got shape {F.shape}")
     N = F.shape[0]
+    if N % 2 != 0:
+        return float("nan")
     flipped = np.roll(F, -(N // 2), axis=0)  # row i -> u_inf(-xhat_i, d_j)
     scale = np.max(np.abs(F))
     if scale == 0.0:
@@ -361,7 +358,7 @@ def add_noise(F: np.ndarray, delta: float, seed: int) -> np.ndarray:
     [-1, 1], drawn from a generator seeded by ``seed`` and then scaled by
     its spectral norm. delta = 0 returns the input unchanged.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if delta == 0.0:
         return F
@@ -389,7 +386,7 @@ def analytic_disk_far_field(R: float, kappa: float, d, xhat) -> complex:
     calls ``scipy.special`` directly, not ``bhs.special``, so that it does
     not share the layer whose kernels it checks.
     """
-    if R <= 0.0 or kappa <= 0.0:
+    if not (R > 0.0 and kappa > 0.0):
         raise ValueError("R and kappa must be positive")
     d = np.asarray(d, dtype=float).reshape(2)
     xhat = np.asarray(xhat, dtype=float).reshape(2)

@@ -250,7 +250,7 @@ def make_named_curve(name: str, center=(0.0, 0.0), scale: float = 1.0) -> Parame
     scale : float
         Similarity factor; the circle has radius ``scale``.
     """
-    if scale <= 0.0:
+    if not scale > 0.0:
         raise ConfigError(f"scale must be > 0, got {scale}")
     if name == "apple":
         return _radial_curve(_apple_rho(), center, scale, name)

@@ -1,4 +1,6 @@
-"""Spatial sampling grids and indicator maps shared by both imaging methods."""
+"""Grids shared by the solver and both imaging methods: the one definition of the
+far-field direction grid theta_i = 2 pi i / N (for even N, -xhat_i is direction
+(i + N/2) mod N; odd N has no -xhat), and sampling grids with their indicator maps."""
 
 from __future__ import annotations
 
@@ -6,7 +8,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SamplingGrid", "IndicatorMap"]
+__all__ = ["equiangular_angles", "equiangular_directions", "SamplingGrid", "IndicatorMap"]
+
+
+def equiangular_angles(N: int) -> np.ndarray:
+    """Angles theta_i = 2 pi i / N, i = 0..N-1."""
+    return 2.0 * np.pi * np.arange(N) / N
+
+
+def equiangular_directions(N: int) -> np.ndarray:
+    """Unit vectors (cos theta_i, sin theta_i), theta_i = 2 pi i / N, shape (N, 2)."""
+    th = equiangular_angles(N)
+    return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ class TikhonovFactorization:
     """
 
     def __init__(self, A: np.ndarray, alpha: float):
-        if alpha <= 0.0:
+        if not alpha > 0.0:
             raise ValueError(f"alpha must be > 0, got {alpha}")
         A = np.asarray(A, dtype=np.complex128)
         if A.ndim != 2:

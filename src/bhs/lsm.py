@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import equiangular_directions
-from .grids import IndicatorMap, SamplingGrid
+from .grids import IndicatorMap, SamplingGrid, equiangular_directions
 from .linalg import TikhonovFactorization
 
 __all__ = ["phi_infinity_rhs", "lsm_indicator", "classify"]
@@ -37,8 +36,6 @@ DEFAULT_ALPHA = 1e-6
 
 def phi_infinity_rhs(z, kappa: float, N: int) -> np.ndarray:
     """Point-source far-field vector Phi_inf(xhat_i, z) on the equiangular grid."""
-    if N % 2 != 0:
-        raise ValueError(f"direction count must be even, got {N}")
     z = np.asarray(z, dtype=float).reshape(2)
     return _phi_prefactor(kappa) * np.exp(-1j * kappa * (equiangular_directions(N) @ z))
 
@@ -64,11 +61,12 @@ def lsm_indicator(F: np.ndarray, kappa: float, grid: SamplingGrid,
     meta : dict, optional
         Extra metadata recorded on the map.
     """
+    if not kappa > 0.0:
+        raise ValueError(f"kappa must be > 0, got {kappa}")
     F = np.asarray(F)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise ValueError(f"far-field matrix must be square, got shape {F.shape}")
     fact = TikhonovFactorization(F, alpha)
-    # Any N here: data read from a file may have an odd direction count.
     N = F.shape[0]
     w = np.full(N, _phi_prefactor(kappa))
     ex, ey = grid.plane_wave_factors(-kappa * equiangular_directions(N))
@@ -86,6 +84,6 @@ def classify(indicator: IndicatorMap, zeta: float) -> np.ndarray:
     Values are normalized to maximum 1 first so the cutoff is scale-free
     across wavenumbers and noise levels.
     """
-    if zeta <= 0.0:
+    if not zeta > 0.0:
         raise ValueError(f"zeta must be > 0, got {zeta}")
     return indicator.normalized() > zeta

@@ -52,7 +52,7 @@ from . import fileio, lsm
 from .exceptions import ConfigError
 from .forward import add_noise, far_field_columns, far_field_matrix, reciprocity_residual
 from .geometry import CURVE_NAMES, make_named_curve
-from .grids import SamplingGrid
+from .grids import SamplingGrid, equiangular_angles
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "run"]
 
@@ -286,16 +286,13 @@ def _esm_columns(s: Scenario):
     angles = np.asarray(s.directions, dtype=float)
     if s.farfield_in is not None:
         F, kappa = fileio.read_farfield(s.farfield_in)
-        grid_angles = 2.0 * np.pi * np.arange(len(F)) / len(F)
-        cols = []
-        for angle in angles:
-            gap = (grid_angles - angle) % (2 * np.pi)    # circular distance, wrapping at 2 pi
-            matches = np.where(np.minimum(gap, 2 * np.pi - gap) < 1e-9)[0]
-            if len(matches) == 0:
-                raise ConfigError(f"direction {float(angle)!r} is not on the "
-                                  f"{len(F)}-point grid of {s.farfield_in}")
-            cols.append(F[:, matches[0]])
-        return np.asarray([cols]), [kappa]
+        gap = (equiangular_angles(len(F))[:, None] - angles) % (2 * np.pi)   # (N, J), wraps at 2 pi
+        on_grid = np.minimum(gap, 2 * np.pi - gap) < 1e-9
+        missing = angles[~on_grid.any(axis=0)]
+        if len(missing):
+            raise ConfigError(f"direction {float(missing[0])!r} is not on the "
+                              f"{len(F)}-point grid of {s.farfield_in}")
+        return F[:, on_grid.argmax(axis=0)].T[None], [kappa]   # first grid match per angle
     curve = make_named_curve(s.shape, s.center, s.scale)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     columns = [far_field_columns(curve, k, s.N, dirs, n=s.n).T for k in kappas]
@@ -312,7 +309,7 @@ def _run_forward(s: Scenario, prefix: str):
 
 def _run_lsm(s: Scenario, prefix: str):
     F, kappa = _far_field_data(s)
-    residual = reciprocity_residual(F) if len(F) % 2 == 0 else float("nan")
+    residual = reciprocity_residual(F)
     meta = {"delta": s.delta, "seed": s.seed, "shape": s.shape or "file"}
     indicator = lsm.lsm_indicator(F, kappa, s.grid(), s.effective_alpha(), meta=meta)
     mask = lsm.classify(indicator, s.zeta)

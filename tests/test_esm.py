@@ -193,7 +193,8 @@ def test_indicator_rejects_zero_column():
 
 
 @pytest.mark.parametrize(
-    "radius,alpha,needle", [(0.0, 1e-4, "radius"), (-0.5, 1e-4, "radius"), (0.5, 0.0, "alpha")]
+    "radius,alpha,needle", [(0.0, 1e-4, "radius"), (-0.5, 1e-4, "radius"), (0.5, 0.0, "alpha"),
+                            (float("nan"), 1e-4, "radius"), (0.5, float("nan"), "alpha")]
 )
 def test_indicator_rejects_bad_parameters(radius, alpha, needle):
     with pytest.raises(ValueError, match=needle):
@@ -211,12 +212,27 @@ def test_indicator_shape_validation():
 def test_kernel_rejects_negative_radius():
     with pytest.raises(ValueError, match="radius"):
         build_disk_kernel(-0.5, 2 * np.pi, 16)
+    with pytest.raises(ValueError, match="radius"):
+        build_disk_kernel(float("nan"), 2 * np.pi, 16)
 
 
 @pytest.mark.parametrize("kappa", [-1.0, 0.0, float("nan")])
 def test_kernel_rejects_nonpositive_kappa(kappa):
     with pytest.raises(ValueError, match="kappa must be > 0"):
         build_disk_kernel(0.5, kappa, 16)
+
+
+def test_nan_parameters_rejected():
+    nan, column, region = float("nan"), np.ones(16, complex), (-1.0, 1.0, -1.0, 1.0)
+    for R, kappa in ((nan, np.pi), (0.5, nan)):
+        with pytest.raises(ValueError, match="R and kappa must be positive"):
+            disk_far_field(R, kappa, 0.3, 0.0)
+    with pytest.raises(ValueError, match="kappa must be > 0"):
+        esm_indicator(column[None, None, :], [nan], square_grid(1.0, 6), 0.5)
+    with pytest.raises(ValueError, match="R0 must be > 0"):
+        multilevel_esm(column, np.pi, nan, region)
+    with pytest.raises(ValueError, match="kappa must be > 0"):
+        multilevel_esm(column, nan, 1.0, region)
 
 
 def test_peanut_single_direction_localization():

@@ -185,6 +185,14 @@ def test_reciprocity_apple(apple_solution):
     assert reciprocity_residual(F) < 1e-4
 
 
+def test_reciprocity_residual_odd_grid_is_nan():
+    # An odd grid has no -xhat pairs; a non-square array is still an error.
+    F = np.random.default_rng(3).standard_normal((7, 7)) + 0j
+    assert np.isnan(reciprocity_residual(F))
+    with pytest.raises(ValueError, match="square"):
+        reciprocity_residual(np.ones((8, 6)))
+
+
 def test_far_field_columns_off_grid_direction():
     """A column for an incident direction off the observation grid matches the disk oracle."""
     kappa = 2 * np.pi
@@ -372,3 +380,16 @@ def test_input_validation():
         analytic_disk_far_field(-1.0, np.pi, (1, 0), (0, 1))
     with pytest.raises(ValueError):
         far_field(np.zeros((32, 1), complex), disc, np.pi, (0.5, 0.5))
+    # NaN parameters are rejected by the same checks, not by a later conversion.
+    nan = float("nan")
+    with pytest.raises(ValueError, match="incident directions must be unit vectors"):
+        plane_wave_data(disc, np.pi, (nan, 0.0))
+    with pytest.raises(ValueError, match="observation directions must be unit vectors"):
+        far_field(np.zeros((32, 1), complex), disc, np.pi, (nan, 0.0))
+    with pytest.raises(ValueError, match="kappa must be > 0"):
+        assemble_system(disc, nan)
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        add_noise(np.ones((8, 8), complex), nan, 0)
+    for R, kappa in ((nan, np.pi), (1.0, nan)):
+        with pytest.raises(ValueError, match="R and kappa must be positive"):
+            analytic_disk_far_field(R, kappa, (1, 0), (0, 1))

@@ -39,6 +39,8 @@ def test_unknown_name():
         make_named_curve("pumpkin")
     with pytest.raises(ConfigError):
         make_named_curve("apple", scale=0.0)
+    with pytest.raises(ConfigError, match="scale must be > 0"):
+        make_named_curve("apple", scale=float("nan"))
 
 
 @pytest.mark.parametrize("name", CURVE_NAMES)

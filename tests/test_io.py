@@ -62,12 +62,16 @@ def test_farfield_decimal_text_pinned(tmp_path):
     assert np.signbit(back[0, 0].imag) and np.signbit(back[1, 0].real)
 
 
-def test_farfield_odd_grid_flagged(tmp_path):
+def test_farfield_odd_grid_flagged(tmp_path, capsys):
     path = tmp_path / "odd.ff"
     path.write_text("#bhff v1\nkappa=1\nN=3\n" + "\n".join(["0 0 0 0 0 0"] * 3) + "\n")
     with pytest.warns(UserWarning, match="odd direction count"):
         F, _ = read_farfield(path)
     assert len(F) == 3
+    # An odd grid has no -xhat pairs: verify succeeds and reports the residual as nan.
+    with pytest.warns(UserWarning, match="odd direction count"):
+        assert main(["verify", str(path)]) == 0
+    assert "reciprocity_residual=nan" in capsys.readouterr().out.splitlines()
 
 
 def test_farfield_format_errors(tmp_path):

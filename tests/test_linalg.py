@@ -134,6 +134,8 @@ def test_alpha_validation():
         TikhonovFactorization(np.eye(3), 0.0).solve(np.ones(3))
     with pytest.raises(ValueError):
         TikhonovFactorization(np.eye(3), -1e-6).solve(np.ones(3))
+    with pytest.raises(ValueError, match="alpha must be > 0"):
+        TikhonovFactorization(np.eye(3), float("nan"))
     with pytest.raises(ValueError):
         TikhonovFactorization(np.array([[np.nan, 0], [0, 1]]), 1e-6).solve(np.ones(2))
 

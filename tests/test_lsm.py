@@ -43,9 +43,13 @@ def test_phi_infinity_at_origin_constant():
     np.testing.assert_allclose(rhs, expected, rtol=1e-14)
 
 
-def test_phi_infinity_even_grid_required():
-    with pytest.raises(ValueError):
-        phi_infinity_rhs((0.0, 0.0), np.pi, 7)
+def test_phi_infinity_odd_grid_closed_form():
+    # Any N: an odd grid has no -xhat, but Phi_inf is defined on every direction.
+    kappa, z, N = np.pi, np.array([0.37, -0.81]), 7
+    th = 2 * np.pi * np.arange(N) / N
+    prefactor = -(0.5 / kappa**2) * np.exp(1j * np.pi / 4) / np.sqrt(8 * np.pi * kappa)
+    expected = prefactor * np.exp(-1j * kappa * (np.cos(th) * z[0] + np.sin(th) * z[1]))
+    np.testing.assert_allclose(phi_infinity_rhs(z, kappa, N), expected, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +155,14 @@ def test_classify_extreme_cutoffs():
     assert classify(indicator, 1e-12).all()
     with pytest.raises(ValueError):
         classify(indicator, 0.0)
+    with pytest.raises(ValueError, match="zeta must be > 0"):
+        classify(indicator, float("nan"))
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, float("nan")])
+def test_indicator_rejects_nonpositive_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa must be > 0"):
+        lsm_indicator(np.eye(8, dtype=complex), kappa, small_grid(res=4))
 
 
 def test_disk_mask_centroid(disk_F):
