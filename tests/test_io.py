@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bhs import fileio
 from bhs.cli import main
 from bhs.esm import LocalizationResult
 from bhs.exceptions import FormatError
@@ -207,6 +208,97 @@ def test_integer_table_bytes_match_savetxt(tmp_path, rows):
     np.savetxt(tmp_path / "ref.pgm", rows, fmt="%d", header="\n".join(header), comments="",
                encoding="utf-8")
     assert (tmp_path / "fast.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+
+
+def _bit_patterns(shape, seed=12):
+    """Uniformly random int64 bit patterns read as doubles: every finite
+    exponent and both signs; the rare inf/nan pattern is replaced by 1."""
+    bits = np.random.default_rng(seed).integers(-2**63, 2**63 - 1, shape, dtype=np.int64)
+    values = bits.view(np.float64)
+    return np.where(np.isfinite(values), values, 1.0)
+
+
+def _near_ties(count=200_000, seed=13):
+    """Random doubles whose 17-digit scaled value y = |v| * 10**(16 - X) lies
+    within 1/64 of a rounding tie, where the long-double error is largest
+    relative to the distance from the tie."""
+    values = np.abs(_bit_patterns(count, seed))
+    exponent = np.floor(np.log10(values))
+    y = values.astype(np.longdouble) * np.power(np.longdouble(10), 16 - exponent)
+    return values[None, np.abs(y - np.floor(y) - 0.5) < 1 / 64]
+
+
+def _neighbours(values):
+    values = np.asarray(values, float)
+    return np.stack([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+FLOAT_TABLES = {
+    "random-bits": _bit_patterns((300, 200)),
+    "zeros-subnormals-extremes": np.array([
+        [0.0, -0.0, 5e-324, -5e-324, 1e-320, 4.9406564584124654e-322],
+        [2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310, -3.3e-315,
+         1.7976931348623157e308, -1.7976931348623157e308],
+    ]),
+    "near-ties": _near_ties(),
+    "powers-of-ten": _neighbours([float(f"1e{k}") for k in range(-307, 309)]),
+    "format-switch": np.vstack([_neighbours([1e-5, 1e-4, 1e16, 1e17]),
+                                -_neighbours([1e-5, 1e-4, 1e16, 1e17])]),
+    "dyadic-ties": np.arange(1, 64, 2)[:, None] * 2.0 ** -np.arange(1, 80)[None, :],
+    "integers": np.arange(-500.0, 500.0).reshape(20, 50),
+    "one-by-one": np.array([[0.1]]),
+    "one-row": np.random.default_rng(3).random((1, 50)),
+    "one-column": np.random.default_rng(4).standard_normal((50, 1)),
+    "row-wider-than-a-block": np.random.default_rng(5).lognormal(0.0, 20.0,
+                                                                 (2, 2 * fileio._BLOCK + 3)),
+}
+
+
+def _assert_bytes_match_percent_17g(tmp_path, rows):
+    header = ["#table", "n=1"]
+    _write(tmp_path / "fast.txt", header, rows)
+    np.savetxt(tmp_path / "ref.txt", rows, fmt="%.17g", header="\n".join(header), comments="",
+               encoding="utf-8")
+    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", FLOAT_TABLES)
+def test_float_table_bytes_match_percent_17g(tmp_path, name):
+    _assert_bytes_match_percent_17g(tmp_path, FLOAT_TABLES[name])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["random-bits", "zeros-subnormals-extremes", "near-ties",
+                                  "powers-of-ten", "dyadic-ties"])
+def test_float_table_fallback_only_matches(tmp_path, monkeypatch, name):
+    # What a platform whose long double is plain double computes: powers of
+    # ten rounded to double (inf above 1e308) and a tolerance above 1/2, so
+    # every value takes the '%.16e' path.
+    powers = np.array([float(f"1e{k}") for k in range(-292, 341)], dtype=np.longdouble)
+    monkeypatch.setattr(fileio, "_POW10", powers)
+    monkeypatch.setattr(fileio, "_LD_TOL", 2 * np.finfo(np.float64).eps)
+    _assert_bytes_match_percent_17g(tmp_path, FLOAT_TABLES[name])
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_float_table_exponent_estimate_off_by_one(tmp_path, monkeypatch, shift):
+    # A log10 one too low or too high puts y outside [1e16, 1e17): every value
+    # must then take the '%.16e' path.
+    monkeypatch.setattr(np, "log10", lambda values, log10=np.log10: log10(values) + shift)
+    rows = np.vstack([FLOAT_TABLES["random-bits"][:3].ravel(),
+                      FLOAT_TABLES["powers-of-ten"].ravel()[:600]])
+    _assert_bytes_match_percent_17g(tmp_path, rows)
+
+
+@pytest.mark.parametrize("entry,kappa", [(np.nan, 1.0), (np.inf, 1.0), (complex(0, -np.inf), 1.0),
+                                         (0.5, 0.0), (0.5, -1.0), (0.5, np.nan), (0.5, np.inf)])
+def test_write_farfield_refuses_what_read_farfield_rejects(tmp_path, entry, kappa):
+    F = np.ones((2, 2), complex)
+    F[1, 0] = entry
+    path = tmp_path / "bad.ff"
+    with pytest.raises(ValueError, match="not finite|kappa"):
+        write_farfield(path, F, kappa)
+    assert not path.exists()
 
 
 def test_mask_bytes_match_float_rendering(tmp_path):
