@@ -81,6 +81,7 @@ _COND_LIMIT = 1e12
 # corrupts the heap with OpenBLAS 0.3.31 (glibc "corrupted size vs.
 # prev_size", then an abort), so back-substitutions are serialized.
 _LU_SOLVE_LOCK = threading.Lock()
+_ROW_BLOCK = 32  # rows per kernel evaluation in assemble_system
 
 
 def plane_wave_data(disc: BoundaryDiscretization, kappa: float, directions):
@@ -126,12 +127,18 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
     the Euler-Mascheroni constant and (for the derivative row) the
     curvature term nu.x'' / (4 pi |x'|).
 
-    The kernels are the order-0/1 cylinder functions of ``bhs.special``,
-    with H = J + iY reusing J. Each block's kernel pair is evaluated just
-    before the block is written into the preallocated Fortran-ordered
-    result and released after it, so only one block's m x m temporaries
-    are alive at a time; the Fortran order lets ``ClampedSolver`` factor
-    the result in place.
+    The kernels are the order-0/1 cylinder functions of ``bhs.special``.
+    kappa |x_i - x_j| is symmetric bit for bit (hypot(-x, -y) equals
+    hypot(x, y)), so each of the eight kernels is evaluated on the upper
+    triangle only, a fixed block of rows at a time, into one reused m x m
+    buffer, and each row block is mirrored into the columns below it. The
+    result is Fortran-ordered so that ``ClampedSolver`` factors it in
+    place; each block is written through its C-ordered transpose from
+    C-ordered factors: jac_j as a row factor, and the normal projection and
+    the Kress circulant built transposed (the latter exactly, as it is
+    symmetric only to rounding). Real and imaginary parts are written
+    separately; H = J + iY is never formed. Every entry is the same
+    product, rounded in the same order, as in a row-major build.
 
     Raises
     ------
@@ -146,8 +153,8 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
     jac = disc.jacobians
     nu = disc.normals
 
-    diff = disc.nodes[:, None, :] - disc.nodes[None, :, :]   # (m, m, 2)
-    r = np.hypot(diff[..., 0], diff[..., 1])                 # (m, m)
+    diff = disc.nodes[None, :, :] - disc.nodes[:, None, :]   # (m, m, 2); [j, i] = x_i - x_j
+    r = np.hypot(diff[..., 0], diff[..., 1])                 # (m, m), symmetric
     np.fill_diagonal(r, 1.0)
     kr = kappa * r
     kr_max = float(kr.max())
@@ -156,59 +163,76 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
             f"kappa * r_max = {kr_max:.6g} is outside the special-function argument "
             f"range [0, {special.MAX_ARGUMENT:g}]"
         )
-    # nu(t_i) . (x(t_i) - x(t_j)); O(r^2) near the diagonal.
-    c_over_r = np.einsum("ik,ijk->ij", nu, diff) / r
+    # [j, i] = nu(t_i) . (x(t_i) - x(t_j)) / r; O(r) near the diagonal.
+    c_over_r = np.einsum("ik,jik->ji", nu, diff) / r
     del diff, r
 
     # Kress split A log(4 sin^2((t - tau)/2)) + (B - A log(...)): the log
     # factor takes the weights R, the remainder the trapezoid rule, so a block
     # is (R - w_trap log(4 sin^2)) A + w_trap B. On the equispaced nodes
-    # t_i = pi i / n both weights depend only on (i - j) mod m.
+    # t_i = pi i / n both weights depend only on (i - j) mod m: the weight
+    # matrix is c[(i - j) mod m], and W below is its transpose c[(j - i) mod m].
     w_trap = np.pi / n
     log_sin2 = np.zeros(m)  # 0 on the diagonal, whose limit B's diagonal carries
     log_sin2[1:] = np.log(4.0 * np.sin(np.arange(1, m) * (np.pi / (2 * n))) ** 2)
-    W = sla.circulant(_kress_log_weights(n) - w_trap * log_sin2)
-    jrow = jac[None, :]
+    W = sla.circulant(np.roll((_kress_log_weights(n) - w_trap * log_sin2)[::-1], 1))
     out = np.empty((2 * m, 2 * m), dtype=np.complex128, order="F")
     top, bottom = slice(0, m), slice(m, 2 * m)
+    kernel = np.empty((m, m))
+    tmp = np.empty((m, m))
 
-    def put(rows, cols, A, B, diag_A, diag_B):
-        # Diagonals set to their analytic limits; A and B are released on return.
-        np.fill_diagonal(A, diag_A)
-        np.fill_diagonal(B, diag_B)
-        block = out[rows, cols]
-        np.multiply(W, A, out=block)
-        block += w_trap * B
+    def evaluate(f, order):
+        # Upper triangle by row blocks, not a ufunc where= mask: with scipy
+        # 1.17.1, scipy.special.y0(kr, out=buf, where=mask) (likewise j0, k1)
+        # crashed the process with a segmentation fault at m = 512.
+        for a in range(0, m, _ROW_BLOCK):
+            b = a + _ROW_BLOCK
+            kernel[a:b, a:] = f(order, kr[a:b, a:])
+            kernel[b:, a:b] = kernel[a:b, b:].T
+        return kernel
 
-    # --- S_k: (i/4) H_0^(1)(k r) --------------------------------------------
-    J = special.bessel_j(0, kr)
-    put(top, top,
-        -(1.0 / (4.0 * np.pi)) * J * jrow,
-        0.25j * (J + 1j * special.bessel_y(0, kr)) * jrow,
-        -(1.0 / (4.0 * np.pi)) * jac,  # J_0(0) = 1
-        (0.25j - _EULER / (2 * np.pi) - np.log(kappa * jac / 2.0) / (2 * np.pi)) * jac)
+    def term(K, order, scale, diag):
+        # scale * K [* c_over_r for order 1] * jac, diagonal set to its limit.
+        t = np.multiply(scale, K, out=tmp)
+        if order == 1:
+            t *= c_over_r
+        t *= jac[:, None]
+        np.fill_diagonal(t, diag)
+        return t
+
+    def put(rows, cols, order, first, second, A, B_re, B_im=None):
+        # Block = W A + w_trap B, with A and Im B from the first kernel and
+        # Re B from the second; (scale, diagonal) pairs give each factor.
+        block = out[rows, cols].T
+        K = evaluate(first, order)
+        np.multiply(W, term(K, order, *A), out=block.real)
+        if B_im is None:
+            block.imag[...] = 0.0
+        else:
+            np.multiply(w_trap, term(K, order, *B_im), out=block.imag)
+        B = term(evaluate(second, order), order, *B_re)
+        B *= w_trap
+        block.real += B
+
+    # --- S_k: (i/4) H_0^(1)(k r) = -Y_0/4 + i J_0/4 ---------------------------
+    diag_B = (0.25j - _EULER / (2 * np.pi) - np.log(kappa * jac / 2.0) / (2 * np.pi)) * jac
+    put(top, top, 0, special.bessel_j, special.bessel_y,
+        (-(1.0 / (4.0 * np.pi)), -(1.0 / (4.0 * np.pi)) * jac),  # J_0(0) = 1
+        (-0.25, diag_B.real), (0.25, diag_B.imag))
 
     # --- K'_k: -(i k/4) H_1^(1)(k r) (nu_i.(x_i - x_j))/r ---------------------
     curv_diag = np.einsum("ik,ik->i", nu, disc.second_derivatives) / (4.0 * np.pi * jac)
-    J = special.bessel_j(1, kr)
-    put(bottom, top,
-        (kappa / (4.0 * np.pi)) * J * c_over_r * jrow,
-        -0.25j * kappa * (J + 1j * special.bessel_y(1, kr)) * c_over_r * jrow,
-        0.0, curv_diag)
-    del J
+    put(bottom, top, 1, special.bessel_j, special.bessel_y,
+        (kappa / (4.0 * np.pi), 0.0), (0.25 * kappa, curv_diag), (-0.25 * kappa, 0.0))
 
     # --- St_k: (1/2 pi) K_0(k r) --------------------------------------------
-    put(top, bottom,
-        -(1.0 / (4.0 * np.pi)) * special.bessel_i(0, kr) * jrow,
-        (0.5 / np.pi) * special.bessel_k(0, kr) * jrow,
-        -(1.0 / (4.0 * np.pi)) * jac,  # I_0(0) = 1
-        -(_EULER + np.log(kappa * jac / 2.0)) / (2 * np.pi) * jac)
+    put(top, bottom, 0, special.bessel_i, special.bessel_k,
+        (-(1.0 / (4.0 * np.pi)), -(1.0 / (4.0 * np.pi)) * jac),  # I_0(0) = 1
+        (0.5 / np.pi, -(_EULER + np.log(kappa * jac / 2.0)) / (2 * np.pi) * jac))
 
     # --- Kt'_k: -(k/2 pi) K_1(k r) (nu_i.(x_i - x_j))/r -----------------------
-    put(bottom, bottom,
-        -(kappa / (4.0 * np.pi)) * special.bessel_i(1, kr) * c_over_r * jrow,
-        -(kappa / (2.0 * np.pi)) * special.bessel_k(1, kr) * c_over_r * jrow,
-        0.0, curv_diag)
+    put(bottom, bottom, 1, special.bessel_i, special.bessel_k,
+        (-(kappa / (4.0 * np.pi)), 0.0), (-(kappa / (2.0 * np.pi)), curv_diag))
 
     idx = np.arange(m)
     out[m + idx, idx] -= 0.5      # K'_k - I/2
@@ -249,8 +273,10 @@ class ClampedSolver:
         Helmholtz and modified densities, each of shape (m, J).
         """
         rhs = np.concatenate([np.atleast_2d(h1.T).T, np.atleast_2d(h2.T).T], axis=0)
+        # rhs is a fresh array, so neither the cast nor the solve needs a copy.
+        rhs = rhs.astype(np.complex128, copy=False)
         with _LU_SOLVE_LOCK:
-            sol = sla.lu_solve(self._lu, rhs.astype(np.complex128), check_finite=False)
+            sol = sla.lu_solve(self._lu, rhs, overwrite_b=True, check_finite=False)
         m = self.disc.node_count
         return sol[:m], sol[m:]
 

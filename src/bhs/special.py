@@ -6,9 +6,11 @@ NaN. Orders up to 200 and arguments up to 500 are supported. Orders 0 and
 1 go to scipy's order-specific ufuncs (``j0``, ``y1``, ``k0``, ...), which
 are several times faster than the general-order ones on large arrays.
 
-The Nystrom assembly in ``bhs.forward`` evaluates all of its kernels here
-and composes its Hankel kernels H = J + i Y itself. When kappa times the
-largest node distance exceeds ``MAX_ARGUMENT`` the solver raises
+The Nystrom assembly in ``bhs.forward`` evaluates all of its kernels here,
+on the upper triangle of its symmetric argument matrix, one block of rows
+per call, and takes the real and imaginary parts of its Hankel kernels
+H = J + i Y from ``bessel_j`` and ``bessel_y`` separately. When kappa
+times the largest node distance exceeds ``MAX_ARGUMENT`` the solver raises
 ``IllConditionedSystemError`` instead of calling in.
 """
 

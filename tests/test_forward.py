@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 import scipy.integrate as si
+import scipy.linalg as sla
 from scipy import special as sp
 
+from bhs import special
 from bhs.exceptions import IllConditionedSystemError, NearBoundaryError
 from bhs.forward import (
     ClampedSolver,
+    _kress_log_weights,
     add_noise,
     analytic_disk_far_field,
     assemble_system,
@@ -61,6 +64,100 @@ def test_diagonal_entries_finite():
     disc = discretize(make_named_curve("peach"), 64)
     A = assemble_system(disc, 2 * np.pi)
     assert np.all(np.isfinite(A.real)) and np.all(np.isfinite(A.imag))
+
+
+def _reference_assembly(disc, kappa):
+    """Row-major assembly, each block built whole from its full kernel pair.
+
+    The plain form of ``assemble_system``, kept as its reference:
+    ``assemble_system`` evaluates the kernels on one triangle and builds
+    each block through its transpose, and must give the same bits.
+    """
+    m, n, jac, nu = disc.node_count, disc.n, disc.jacobians, disc.normals
+    diff = disc.nodes[:, None, :] - disc.nodes[None, :, :]
+    r = np.hypot(diff[..., 0], diff[..., 1])
+    np.fill_diagonal(r, 1.0)
+    kr = kappa * r
+    kr_max = float(kr.max())
+    if kr_max > special.MAX_ARGUMENT:
+        raise IllConditionedSystemError(
+            f"kappa * r_max = {kr_max:.6g} is outside the special-function argument "
+            f"range [0, {special.MAX_ARGUMENT:g}]"
+        )
+    c_over_r = np.einsum("ik,ijk->ij", nu, diff) / r
+    w_trap = np.pi / n
+    log_sin2 = np.zeros(m)
+    log_sin2[1:] = np.log(4.0 * np.sin(np.arange(1, m) * (np.pi / (2 * n))) ** 2)
+    W = sla.circulant(_kress_log_weights(n) - w_trap * log_sin2)
+    jrow = jac[None, :]
+    out = np.empty((2 * m, 2 * m), dtype=np.complex128, order="F")
+    top, bottom = slice(0, m), slice(m, 2 * m)
+
+    def put(rows, cols, A, B, diag_A, diag_B):
+        np.fill_diagonal(A, diag_A)
+        np.fill_diagonal(B, diag_B)
+        block = out[rows, cols]
+        np.multiply(W, A, out=block)
+        block += w_trap * B
+
+    euler = np.euler_gamma
+    J = special.bessel_j(0, kr)
+    put(top, top,
+        -(1.0 / (4.0 * np.pi)) * J * jrow,
+        0.25j * (J + 1j * special.bessel_y(0, kr)) * jrow,
+        -(1.0 / (4.0 * np.pi)) * jac,
+        (0.25j - euler / (2 * np.pi) - np.log(kappa * jac / 2.0) / (2 * np.pi)) * jac)
+    curv_diag = np.einsum("ik,ik->i", nu, disc.second_derivatives) / (4.0 * np.pi * jac)
+    J = special.bessel_j(1, kr)
+    put(bottom, top,
+        (kappa / (4.0 * np.pi)) * J * c_over_r * jrow,
+        -0.25j * kappa * (J + 1j * special.bessel_y(1, kr)) * c_over_r * jrow,
+        0.0, curv_diag)
+    put(top, bottom,
+        -(1.0 / (4.0 * np.pi)) * special.bessel_i(0, kr) * jrow,
+        (0.5 / np.pi) * special.bessel_k(0, kr) * jrow,
+        -(1.0 / (4.0 * np.pi)) * jac,
+        -(euler + np.log(kappa * jac / 2.0)) / (2 * np.pi) * jac)
+    put(bottom, bottom,
+        -(kappa / (4.0 * np.pi)) * special.bessel_i(1, kr) * c_over_r * jrow,
+        -(kappa / (2.0 * np.pi)) * special.bessel_k(1, kr) * c_over_r * jrow,
+        0.0, curv_diag)
+    idx = np.arange(m)
+    out[m + idx, idx] -= 0.5
+    out[m + idx, m + idx] -= 0.5
+    return out
+
+
+_REFERENCE_CASES = [
+    (name, center, scale, n, kappa)
+    for name in ("apple", "peanut", "peach", "circle", "ellipse")
+    for center, scale in (((0.0, 0.0), 1.0), ((0.7, -0.4), 1.3))
+    for n in (8, 64)
+    for kappa in (0.5, np.pi, 4 * np.pi)
+] + [("apple", (0.0, 0.0), 1.0, 256, 2 * np.pi)]
+
+
+def test_assembly_matches_row_major_reference():
+    """Triangle evaluation and transposed build give the reference's bits.
+
+    n = 8 (m = 16) is a single partial row block; the n = 256 apple spans
+    sixteen full ones.
+    """
+    for name, center, scale, n, kappa in _REFERENCE_CASES:
+        disc = discretize(make_named_curve(name, center=center, scale=scale), n)
+        A = assemble_system(disc, kappa)
+        assert A.flags.f_contiguous
+        assert np.array_equal(A, _reference_assembly(disc, kappa)), (name, center, n, kappa)
+
+
+def test_assembly_argument_range_error_matches_reference():
+    disc = discretize(make_named_curve("circle", scale=2.0), 16)
+    kappa = 130.0  # kappa * r_max = 520 > 500
+    with pytest.raises(IllConditionedSystemError) as ref:
+        _reference_assembly(disc, kappa)
+    with pytest.raises(IllConditionedSystemError) as new:
+        assemble_system(disc, kappa)
+    assert str(new.value) == str(ref.value)
 
 
 def test_modified_single_layer_constant_density_oracle():
