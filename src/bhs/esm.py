@@ -24,9 +24,11 @@ grid and every incident direction.
 On a sampling grid e^{i kappa xhat.z} = ex[:, ix] ey[:, iy] with
 ex = e^{i kappa xhat_1 xs} (N, nx) and ey = e^{i kappa xhat_2 ys} (N, ny), built
 once per wavenumber: N (nx + ny) exponentials. Each data column b then costs
-one real (ny x N(N+1)) @ (N(N+1) x nx) product of pair factors of the Gram
+one real (ny x K(K+1)) @ (K(K+1) x nx) product of pair factors of the Gram
 matrix of diag(f) U* diag(b) (see :meth:`TikhonovFactorization.plane_wave_norms`),
-with the rounding bound stated in :mod:`bhs.lsm`, never an (N, nx ny) block.
+K(K+1) multiply-adds per point with K = N // 2 + 1 classes of mirrored
+directions, with the rounding bound stated in :mod:`bhs.lsm`, never an
+(N, nx ny) block.
 
 Every entry point takes plain arrays, as :func:`bhs.lsm.lsm_indicator` does:
 ``esm_indicator(columns, wavenumbers, grid, radius, alpha, meta)`` with

@@ -127,8 +127,9 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
     the Euler-Mascheroni constant and (for the derivative row) the
     curvature term nu.x'' / (4 pi |x'|).
 
-    The kernels are the order-0/1 cylinder functions of ``bhs.special``.
-    kappa |x_i - x_j| is symmetric bit for bit (hypot(-x, -y) equals
+    The kernels are the order-0/1 cylinder functions of ``bhs.special``,
+    called unchecked: their argument kappa |x_i - x_j| is validated once for
+    the whole matrix. It is symmetric bit for bit (hypot(-x, -y) equals
     hypot(x, y)), so each of the eight kernels is evaluated on the upper
     triangle only, a fixed block of rows at a time, into one reused m x m
     buffer, and each row block is mirrored into the columns below it. The
@@ -145,6 +146,8 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
     IllConditionedSystemError
         If kappa times the largest node distance exceeds the argument range
         of ``bhs.special``.
+    ValueError
+        If kappa |x_i - x_j| is not finite, or two nodes coincide.
     """
     if not kappa > 0.0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
@@ -163,6 +166,8 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
             f"kappa * r_max = {kr_max:.6g} is outside the special-function argument "
             f"range [0, {special.MAX_ARGUMENT:g}]"
         )
+    if not kr.min() > 0.0:    # NaN (min propagates it) or coincident nodes
+        raise ValueError(f"kappa |x_i - x_j| must be finite and > 0, got {kr.min()}")
     # [j, i] = nu(t_i) . (x(t_i) - x(t_j)) / r; O(r) near the diagonal.
     c_over_r = np.einsum("ik,jik->ji", nu, diff) / r
     del diff, r
@@ -184,10 +189,11 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
     def evaluate(f, order):
         # Upper triangle by row blocks, not a ufunc where= mask: with scipy
         # 1.17.1, scipy.special.y0(kr, out=buf, where=mask) (likewise j0, k1)
-        # crashed the process with a segmentation fault at m = 512.
+        # crashed the process with a segmentation fault at m = 512. kr was
+        # validated above, so the blocks go to the unchecked ufuncs.
         for a in range(0, m, _ROW_BLOCK):
             b = a + _ROW_BLOCK
-            kernel[a:b, a:] = f(order, kr[a:b, a:])
+            f[order](kr[a:b, a:], out=kernel[a:b, a:])
             kernel[b:, a:b] = kernel[a:b, b:].T
         return kernel
 
@@ -216,22 +222,22 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
 
     # --- S_k: (i/4) H_0^(1)(k r) = -Y_0/4 + i J_0/4 ---------------------------
     diag_B = (0.25j - _EULER / (2 * np.pi) - np.log(kappa * jac / 2.0) / (2 * np.pi)) * jac
-    put(top, top, 0, special.bessel_j, special.bessel_y,
+    put(top, top, 0, special.J01, special.Y01,
         (-(1.0 / (4.0 * np.pi)), -(1.0 / (4.0 * np.pi)) * jac),  # J_0(0) = 1
         (-0.25, diag_B.real), (0.25, diag_B.imag))
 
     # --- K'_k: -(i k/4) H_1^(1)(k r) (nu_i.(x_i - x_j))/r ---------------------
     curv_diag = np.einsum("ik,ik->i", nu, disc.second_derivatives) / (4.0 * np.pi * jac)
-    put(bottom, top, 1, special.bessel_j, special.bessel_y,
+    put(bottom, top, 1, special.J01, special.Y01,
         (kappa / (4.0 * np.pi), 0.0), (0.25 * kappa, curv_diag), (-0.25 * kappa, 0.0))
 
     # --- St_k: (1/2 pi) K_0(k r) --------------------------------------------
-    put(top, bottom, 0, special.bessel_i, special.bessel_k,
+    put(top, bottom, 0, special.I01, special.K01,
         (-(1.0 / (4.0 * np.pi)), -(1.0 / (4.0 * np.pi)) * jac),  # I_0(0) = 1
         (0.5 / np.pi, -(_EULER + np.log(kappa * jac / 2.0)) / (2 * np.pi) * jac))
 
     # --- Kt'_k: -(k/2 pi) K_1(k r) (nu_i.(x_i - x_j))/r -----------------------
-    put(bottom, bottom, 1, special.bessel_i, special.bessel_k,
+    put(bottom, bottom, 1, special.I01, special.K01,
         (-(kappa / (4.0 * np.pi)), 0.0), (-(kappa / (2.0 * np.pi)), curv_diag))
 
     idx = np.arange(m)

@@ -1,6 +1,12 @@
 """Grids shared by the solver and both imaging methods: the one definition of the
 far-field direction grid theta_i = 2 pi i / N (for even N, -xhat_i is direction
-(i + N/2) mod N; odd N has no -xhat), and sampling grids with their indicator maps."""
+(i + N/2) mod N; odd N has no -xhat), and sampling grids with their indicator maps.
+
+The direction grid is exactly mirror-symmetric: row (N - i) mod N of
+:func:`equiangular_directions` is exactly (x_i, -y_i), and y = 0 exactly at
+theta = 0 and theta = pi. Mirrored directions therefore have bitwise equal x
+components and equal plane-wave x-factors, which
+:meth:`bhs.linalg.TikhonovFactorization.plane_wave_norms` groups."""
 
 from __future__ import annotations
 
@@ -17,9 +23,18 @@ def equiangular_angles(N: int) -> np.ndarray:
 
 
 def equiangular_directions(N: int) -> np.ndarray:
-    """Unit vectors (cos theta_i, sin theta_i), theta_i = 2 pi i / N, shape (N, 2)."""
-    th = equiangular_angles(N)
-    return np.stack([np.cos(th), np.sin(th)], axis=-1)
+    """Unit vectors (cos theta_i, sin theta_i), theta_i = 2 pi i / N, shape (N, 2).
+
+    Evaluated on theta in [0, pi] and mirrored: row (N - i) mod N is exactly
+    (x_i, -y_i), and y = 0 at theta = 0 and pi (sin pi is 1.2e-16 in floating
+    point). Every row is within 1e-15 of the exact (cos theta_i, sin theta_i).
+    """
+    th = equiangular_angles(N)[: N // 2 + 1]
+    x, y = np.cos(th), np.sin(th)
+    if N % 2 == 0:
+        y[-1] = 0.0
+    mirror = slice((N - 1) // 2, 0, -1)    # rows N//2 + 1 .. N-1 are i = (N-1)//2 .. 1
+    return np.stack([np.concatenate([x, x[mirror]]), np.concatenate([y, -y[mirror]])], axis=-1)
 
 
 @dataclass(frozen=True)

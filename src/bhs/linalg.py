@@ -58,25 +58,61 @@ class TikhonovFactorization:
 
             ||g||^2 = ||M e||^2 = sum_{s <= t} c_st Re(G_st conj(e_s) e_t),  c = 2 - [s = t].
 
-        conj(e_s) e_t = (conj(ex_s) ex_t)[ix] (conj(ey_s) ey_t)[iy] is separable,
-        so the map is one real (ny x N(N+1)) @ (N(N+1) x nx) product of pair
-        factors, N^2 multiply-adds per point, taken in blocks of at most N pairs
-        whose factors fit in one (ny, nx) complex array. Rounding moves ||g||^2
-        by up to N eps sum |c_st G_st|; the result is floored there, so it is
+        conj(e_s) e_t = (conj(ex_s) ex_t)[ix] (conj(ey_s) ey_t)[iy] is separable.
+        Directions whose ``ex`` rows are bitwise equal form a class. Taking each
+        pair as (s, t) or (t, s) so that its classes run k <= l, and summing the
+        pairs of each class pair,
+
+            ||g||^2 = sum_{k <= l} Re(conj(a_kl[iy]) (conj(ex_k) ex_l)[ix]),
+            a_kl = sum_{(s, t) in (k, l)} c_st conj(G_st) ey_s conj(ey_t),
+
+        so the map is one real (ny x K(K+1)) @ (K(K+1) x nx) product of the pair
+        factors of the K classes, K(K+1) multiply-adds per point, taken in
+        blocks of at most N class pairs whose factors fit in one (ny, nx)
+        complex array. On the mirror-symmetric equiangular grid (see
+        :mod:`bhs.grids`) K = N // 2 + 1; distinct rows give K = N, the plain
+        sum over s <= t. Rounding moves ||g||^2 by up to
+        N eps sum_{s <= t} |c_st G_st|; the result is floored there, so it is
         finite and positive.
         """
         M = self._filtered_uh * np.asarray(w, dtype=np.complex128)
         G = M.conj().T @ M
         s, t = np.triu_indices(len(G))
         cG = np.where(s == t, 1.0, 2.0) * G[s, t].conj()      # c_st conj(G_st)
-        ex, ey = np.ascontiguousarray(ex.T), np.ascontiguousarray(ey.T)   # (nx, N), (ny, N)
-        sq = np.zeros((len(ey), len(ex)))
-        block = max(1, min(len(G), sq.size // sum(sq.shape)))
-        for p in (slice(lo, lo + block) for lo in range(0, len(cG), block)):
-            # a = conj(c_st G_st conj(ey_s) ey_t) and px = conj(ex_s) ex_t: a pair's
-            # term Re(conj(a) px) is the dot product of their (re, im) views.
-            a = np.take(ey, s[p], 1) * np.take(ey, t[p], 1).conj() * cG[p]
-            px = np.take(ex, s[p], 1).conj() * np.take(ex, t[p], 1)
-            sq += a.view(np.float64) @ px.view(np.float64).T
         floor = len(G) * np.finfo(float).eps * np.abs(cG).sum()
+        classes = {}    # ex row bytes -> class, numbered by first occurrence
+        cls = np.array([classes.setdefault(row.tobytes(), len(classes)) for row in np.asarray(ex)])
+        K = len(classes)
+        # Re(conj(a) px) = Re(a conj(px)): a pair whose classes run k > l is
+        # taken as (t, s) with its coefficient conjugated.
+        flip = cls[s] > cls[t]
+        s, t = np.where(flip, t, s), np.where(flip, s, t)
+        cG[flip] = cG[flip].conj()
+        k, l = cls[s], cls[t]
+        q = k * K - k * (k - 1) // 2 + l - k    # index of (k, l) in np.triu_indices(K)
+        order = np.argsort(q, kind="stable")
+        # Pair r of class pair q is member[q, r]. Class pairs with fewer pairs
+        # than the largest are padded with pair len(q), whose coefficient is 0.
+        start = np.searchsorted(q[order], np.arange(K * (K + 1) // 2))
+        size = np.diff(start, append=len(q))
+        r = np.arange(size.max())
+        member = np.where(r < size[:, None], start[:, None] + r, len(q))
+        s, t, cG = np.append(s[order], 0), np.append(t[order], 0), np.append(cG[order], 0.0)
+        ex = np.ascontiguousarray(ex.T)    # (nx, N)
+        sq = np.zeros((ey.shape[1], len(ex)))
+        block = max(1, min(len(G), sq.size // sum(sq.shape)))
+
+        def coefficients(p):
+            # conj(c_st G_st conj(ey_s) ey_t) for the pairs p, one row each
+            return np.take(ey, s[p], 0) * np.take(ey, t[p], 0).conj() * cG[p, None]
+
+        for m in (member[lo:lo + block].T for lo in range(0, len(member), block)):
+            a = coefficients(m[0])
+            for p in m[1:]:
+                a += coefficients(p)
+            a = np.ascontiguousarray(a.T)
+            # a class pair's term Re(conj(a) px) is the dot product of the (re, im)
+            # views of a and px = conj(ex_k) ex_l, read off its first pair.
+            px = np.take(ex, s[m[0]], 1).conj() * np.take(ex, t[m[0]], 1)
+            sq += a.view(np.float64) @ px.view(np.float64).T
         return np.sqrt(np.maximum(sq, floor, out=sq))

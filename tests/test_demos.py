@@ -1,6 +1,7 @@
 """Demos: every name the scripts import from bhs exists, the fast scripts run,
 and the scenario files run with the imaging outcomes the documentation records.
-Also checks which package modules the imaging methods import."""
+Also checks which package modules the imaging methods import, and that no
+package code passes ``where=`` to a special function."""
 
 import ast
 import importlib
@@ -83,6 +84,73 @@ def test_imaging_method_does_not_import_the_solver(module):
               if isinstance(node, ast.Import) for alias in node.names
               if alias.name == "bhs.forward"]
     assert not found, f"bhs.{module} imports the forward solver: {found}"
+
+
+SPECIAL_MODULES = ("scipy.special", "bhs.special")
+
+
+def special_where_calls(source):
+    """(line, callee) for each call passing ``where=`` to a function reached
+    through a name bound to scipy.special or bhs.special: the module, or a
+    name imported from it. scipy 1.17.1's y0/j0/k1 given both out= and where=
+    crashed the process with a segmentation fault."""
+    tree = ast.parse(source)
+    bound = set()    # dotted names that reach a special-function module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is None:
+                    top = alias.name.split(".")[0]
+                    bound |= {mod for mod in SPECIAL_MODULES if mod.split(".")[0] == top}
+                elif alias.name in SPECIAL_MODULES:
+                    bound.add(alias.asname)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1:
+                module = "bhs" + (f".{module}" if module else "")
+            for alias in node.names:
+                if module in SPECIAL_MODULES or f"{module}.{alias.name}" in SPECIAL_MODULES:
+                    bound.add(alias.asname or alias.name)
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and any(k.arg == "where" for k in node.keywords)):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, (ast.Attribute, ast.Subscript, ast.Call)):
+            if isinstance(func, ast.Attribute):
+                parts.append(func.attr)
+            func = func.func if isinstance(func, ast.Call) else func.value
+        if isinstance(func, ast.Name):
+            callee = ".".join([func.id, *reversed(parts)])
+            if any(callee == name or callee.startswith(name + ".") for name in bound):
+                found.append((node.lineno, callee))
+    return found
+
+
+def test_special_where_check_finds_each_import_form():
+    source = """
+import numpy as np
+import scipy.special
+from scipy import special as _sp
+from scipy.special import y0
+from . import special
+from .special import bessel_j
+scipy.special.j0(x, out=b, where=m)
+_sp.y0(x, out=b, where=m)
+y0(x, out=b, where=m)
+special.K01[0](x, out=b, where=m)
+bessel_j(0, x, where=m)
+np.copyto(b, x, where=m)
+_sp.y0(x, out=b)
+"""
+    assert [line for line, _ in special_where_calls(source)] == [8, 9, 10, 11, 12]
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "src" / "bhs").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_where_argument_to_special_functions(path):
+    found = special_where_calls(path.read_text(encoding="utf-8"))
+    assert not found, f"{path.name} passes where= to a special function: {found}"
 
 
 def test_every_scenario_is_pinned():

@@ -1,5 +1,7 @@
 """Forward solver: quadrature structure, oracle agreement, physics checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -158,6 +160,17 @@ def test_assembly_argument_range_error_matches_reference():
     with pytest.raises(IllConditionedSystemError) as new:
         assemble_system(disc, kappa)
     assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("bad", ["coincident", "nan"])
+def test_assembly_rejects_bad_node_distances(bad):
+    """kappa |x_i - x_j| is checked once, before any kernel is evaluated: a
+    repeated node or a NaN node raises ValueError."""
+    disc = discretize(make_named_curve("circle"), 8)
+    nodes = disc.nodes.copy()
+    nodes[3] = nodes[2] if bad == "coincident" else np.nan
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        assemble_system(dataclasses.replace(disc, nodes=nodes), 1.0)
 
 
 def test_modified_single_layer_constant_density_oracle():

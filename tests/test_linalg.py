@@ -139,3 +139,27 @@ def test_alpha_validation():
     with pytest.raises(ValueError):
         TikhonovFactorization(np.array([[np.nan, 0], [0, 1]]), 1e-6).solve(np.ones(2))
 
+
+def directions_at(angles):
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+
+@pytest.mark.parametrize("directions", [
+    *(equiangular_directions(N) for N in (8, 9, 32, 40)),
+    directions_at(np.array([0.3, 1.1, 0.3, 2.0, 4.0, 0.3, 5.5])),
+], ids=["N8", "N9", "N32", "N40", "class-of-3"])
+def test_folded_plane_wave_norms_within_gram_rounding_bound(directions):
+    """Directions with equal x-factors are folded into one class; the folded
+    ||g||^2 is within the rounding bound of the dense solve. The last set
+    repeats one direction three times."""
+    rng = np.random.default_rng(len(directions))
+    N = len(directions)
+    fact = TikhonovFactorization(random_complex(rng, N, N), 1e-4)
+    w = random_complex(rng, N)
+    grid = SamplingGrid(-1.3, 0.9, -1.1, 1.2, 19, 14)
+    ex, ey = grid.plane_wave_factors(2.5 * directions)
+    assert len({row.tobytes() for row in ex}) < N
+    dense = (w[:, None, None] * ey[:, :, None] * ex[:, None, :]).reshape(N, -1)
+    reference = np.linalg.norm(fact.solve(dense), axis=0) ** 2
+    squared = fact.plane_wave_norms(w, ex, ey).ravel() ** 2
+    assert np.max(np.abs(squared - reference)) <= gram_rounding_bound(fact, w)
