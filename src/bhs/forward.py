@@ -35,6 +35,16 @@ the log factor integrated by the exact trigonometric weights R_j and the
 smooth factor by the trapezoid rule. Convergence is superalgebraic on
 analytic boundaries.
 
+The factorization uses that the right block column (St_k, Kt'_k - I/2) is
+real and that A22 = Kt'_k - I/2 is invertible at every k: if A22 phi = 0,
+u = St_k[phi] solves the coercive exterior Neumann and then interior
+Dirichlet problems of Lap - k^2 with zero data, so u = 0 and phi, the jump
+of du/dnu, is 0. ``ClampedSolver`` eliminates phiM: Z = St_k A22^-1,
+S = S_k - Z (K'_k - I/2), phiH = S^-1 (h1 - Z h2) and phiM = A22^-1 (h2 -
+(K'_k - I/2) phiH). In real flops: (2/3) m^3 for the LU of A22, 6 m^3 for Z
+(two triangular solves) and Z (K'_k - I/2), (8/3) m^3 for the complex LU of
+S; about 9.3 m^3 in all, against (64/3) m^3 for one complex 2m x 2m LU.
+
 Far field
 ---------
 With the normalization u_s ~ (e^{i pi/4} / sqrt(8 pi k)) (e^{ikr}/sqrt r)
@@ -133,11 +143,12 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
     hypot(x, y)), so each of the eight kernels is evaluated on the upper
     triangle only, a fixed block of rows at a time, into one reused m x m
     buffer, and each row block is mirrored into the columns below it. The
-    result is Fortran-ordered so that ``ClampedSolver`` factors it in
-    place; each block is written through its C-ordered transpose from
-    C-ordered factors: jac_j as a row factor, and the normal projection and
-    the Kress circulant built transposed (the latter exactly, as it is
-    symmetric only to rounding). Real and imaginary parts are written
+    result is Fortran-ordered, so each block column is one contiguous
+    buffer (``ClampedSolver`` reuses the right one as workspace). Each
+    block is written through its C-ordered transpose from C-ordered
+    factors: jac_j as a row factor, and the normal projection and the Kress
+    circulant built transposed (the latter exactly, as it is symmetric only
+    to rounding). Real and imaginary parts are written
     separately; H = J + iY is never formed. Every entry is the same
     product, rounded in the same order, as in a row-major build.
 
@@ -249,28 +260,53 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
 class ClampedSolver:
     """Factored direct solver for one (discretization, wavenumber) pair.
 
-    Assembles once, takes the matrix 1-norm, LU-factors the assembled
-    matrix in place (no second copy is kept) and estimates the 1-norm
-    condition number from the factors. Solves any number of boundary-data
-    columns by back-substitution. Immutable after construction; concurrent
-    solves against the shared factorization are safe (the
-    back-substitutions themselves take turns, see ``_LU_SOLVE_LOCK``).
+    Assembles once, factors by block elimination on the real block A22 (see
+    the module docstring) and estimates the 1-norm condition number from
+    solves with the factors. Immutable; concurrent solves are safe (the
+    back-substitutions take turns, see ``_LU_SOLVE_LOCK``).
     """
 
     def __init__(self, disc: BoundaryDiscretization, kappa: float):
         self.disc = disc
         self.kappa = float(kappa)
+        m = disc.node_count
         A = assemble_system(disc, kappa)
-        norm_1 = np.linalg.norm(A, 1)  # before the factorization overwrites A
-        self._lu = sla.lu_factor(A, overwrite_a=True, check_finite=False)
-        gecon = sla.get_lapack_funcs("gecon", (self._lu[0],))
-        rcond, _ = gecon(self._lu[0], norm_1, norm="1")
-        self.condition_estimate = float(1.0 / rcond) if rcond > 0 else np.inf
+        norm_1 = np.linalg.norm(A, 1)  # before S overwrites the right half
+        self._lu22 = sla.lu_factor(A[m:, m:].real, check_finite=False)
+        with _LU_SOLVE_LOCK:  # Z^T = A22^-T St_k^T
+            self._ZT = ZT = sla.lu_solve(self._lu22, A[:m, m:].real.T, trans=1, check_finite=False)
+        # St_k and A22 are copied out, so the right half of A is free: its
+        # first half takes [Re A21 | Im A21] and then S, its second Z A21.
+        free = A[:, m:].reshape(-1, order="F")
+        re_im, ZA21 = np.hsplit(free.view(np.float64).reshape((m, 4 * m), order="F"), 2)
+        self._A21 = A21 = A[m:, :m]
+        re_im[:, :m], re_im[:, m:] = A21.real, A21.imag
+        # Z products run in scipy's BLAS, as the LUs do; numpy's own left 1-2 MB more resident.
+        sla.blas.dgemm(1.0, ZT, re_im, trans_a=True, c=ZA21, overwrite_c=True)
+        S = free[:m * m].reshape((m, m), order="F")
+        np.subtract(A[:m, :m].real, ZA21[:, :m], out=S.real)
+        np.subtract(A[:m, :m].imag, ZA21[:, m:], out=S.imag)
+        self._lu_s = sla.lu_factor(S, overwrite_a=True, check_finite=False)
+        cond = norm_1 * _inverse_norm_1(self._solve, m)
+        self.condition_estimate = float(cond) if np.isfinite(cond) else np.inf
         if self.condition_estimate > _COND_LIMIT:
             raise IllConditionedSystemError(
                 f"clamped system at kappa={kappa:.12g} has condition estimate "
                 f"{self.condition_estimate:.3e} (possible spurious resonance)"
             )
+
+    def _solve(self, b1, b2, adjoint=False):
+        """Solve A x = b, or A^H x = b, for complex (m, J) halves b1, b2 of b."""
+        ZT, A21, lu_s, lu22 = self._ZT, self._A21, self._lu_s, self._lu22
+        with _LU_SOLVE_LOCK:
+            solve22 = lambda y: sla.lu_solve(lu22, y, trans=int(adjoint), check_finite=False)
+            times_Z = lambda y: sla.blas.dgemm(1.0, ZT, y, trans_a=not adjoint)  # Z^T if adjoint
+            if not adjoint:  # A = [[I, Z], [0, I]] [[S, 0], [A21, A22]]
+                x1 = sla.lu_solve(lu_s, b1 - _on_parts(times_Z, b2), check_finite=False)
+                return x1, _on_parts(solve22, b2 - A21 @ x1)
+            w2 = _on_parts(solve22, b2)  # A^H = [[S^H, A21^H], [0, A22^T]] [[I, 0], [Z^T, I]]
+            x1 = sla.lu_solve(lu_s, b1 - (A21.T @ w2.conj()).conj(), trans=2, check_finite=False)
+            return x1, w2 - _on_parts(times_Z, x1)
 
     def solve_columns(self, h1: np.ndarray, h2: np.ndarray):
         """Solve for the densities of boundary-data columns.
@@ -278,13 +314,33 @@ class ClampedSolver:
         h1, h2 have shape (m,) or (m, J). Returns (phiH, phiM), the
         Helmholtz and modified densities, each of shape (m, J).
         """
-        rhs = np.concatenate([np.atleast_2d(h1.T).T, np.atleast_2d(h2.T).T], axis=0)
-        # rhs is a fresh array, so neither the cast nor the solve needs a copy.
-        rhs = rhs.astype(np.complex128, copy=False)
-        with _LU_SOLVE_LOCK:
-            sol = sla.lu_solve(self._lu, rhs, overwrite_b=True, check_finite=False)
-        m = self.disc.node_count
-        return sol[:m], sol[m:]
+        return self._solve(*(np.atleast_2d(h.T).T.astype(complex, copy=False) for h in (h1, h2)))
+
+
+def _on_parts(f, x):
+    """f(x) for a real linear map f of complex (m, J) columns x, which f sees as real (m, 2J)."""
+    return np.ascontiguousarray(f(np.ascontiguousarray(x, complex).view(float))).view(complex)
+
+
+def _inverse_norm_1(solve, m):
+    """Hager-Higham estimate of ||A^-1||_1, step for step as LAPACK zlacn2, for the
+    2m x 2m block solver ``solve`` of ``ClampedSolver``. It draws no random vector."""
+    n = 2 * m
+    apply_inverse = lambda x, adj: np.concatenate(solve(x[:m, None], x[m:, None], adj))[:, 0]
+    x, est, j = np.full(n, 1.0 / n, dtype=complex), 0.0, 0
+    for it in range(5):
+        y = apply_inverse(x, False)
+        est_old, est = est, np.abs(y).sum()
+        if it and est <= est_old:
+            break
+        sign = np.divide(y, np.abs(y), out=np.ones_like(y), where=np.abs(y) > np.finfo(float).tiny)
+        z = np.abs(apply_inverse(sign, True))
+        j_last, j = j, np.argmax(z)
+        if it and z[j_last] == z[j]:
+            break
+        x = np.eye(1, n, j, dtype=complex)[0]
+    alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    return max(est, 2.0 * np.abs(apply_inverse(alt + 0j, False)).sum() / (3 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +440,13 @@ def reciprocity_residual(F: np.ndarray) -> float:
 
 
 def add_noise(F: np.ndarray, delta: float, seed: int) -> np.ndarray:
-    """Multiplicative noise F_ij (1 + delta E_ij) with ||E||_2 = 1.
+    """Multiplicative noise F o (1 + delta E), entrywise, with ||E||_2 = 1.
 
     E has independent entries with real and imaginary parts uniform on
     [-1, 1], drawn from a generator seeded by ``seed`` and then scaled by
-    its spectral norm. delta = 0 returns the input unchanged.
+    its spectral norm; delta = 0 returns F. The realized level is far below
+    delta: 0.05 at N = 32 moves F by 0.33% (spectral), 0.47% (Frobenius) and
+    0.79% (worst entry) for the peanut at kappa = 2 pi, mean of seeds 0-4.
     """
     if not delta >= 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")

@@ -6,8 +6,10 @@ solved by Tikhonov regularization, where
     Phi_inf(xhat, z) = -(1 / 2 kappa^2) (e^{i pi/4} / sqrt(8 pi kappa))
                        e^{-i kappa xhat.z}
 
-is the far-field pattern of the outgoing fundamental solution of the
-flexural-wave operator with source at z. The indicator 1/||g_z||^2 is
+is c(kappa) = e^{i pi/4} / sqrt(8 pi kappa) times the exact far field
+-(1 / 2 kappa^2) e^{-i kappa xhat.z} of the outgoing fundamental solution with
+source at z in the normalization of ``bhs.forward``, which F shares, so LSM
+maps carry a factor 1/|c|^2 = 8 pi kappa. The indicator 1/||g_z||^2 is
 large inside the cavity and small outside. F does not depend on z, so one
 SVD of F serves the whole grid (||g_z|| = ||f o U* Phi_inf(., z)|| with the
 Tikhonov filter factors f).

@@ -1,7 +1,9 @@
 """Demos: every name the scripts import from bhs exists, the fast scripts run,
 and the scenario files run with the imaging outcomes the documentation records.
-Also checks which package modules the imaging methods import, and that no
-package code passes ``where=`` to a special function."""
+Also checks which package modules the imaging methods import, that no
+package code passes ``where=`` to a special function, that every LU
+back-substitution holds the solver lock and that nothing draws from numpy's
+global random state."""
 
 import ast
 import importlib
@@ -151,6 +153,96 @@ _sp.y0(x, out=b)
 def test_no_where_argument_to_special_functions(path):
     found = special_where_calls(path.read_text(encoding="utf-8"))
     assert not found, f"{path.name} passes where= to a special function: {found}"
+
+
+# numpy.random names that draw from no global state (the Generator API).
+NUMPY_RANDOM_ALLOWED = {"default_rng", "Generator", "SeedSequence", "BitGenerator", "MT19937",
+                        "PCG64", "PCG64DXSM", "Philox", "SFC64"}
+
+
+def lock_and_random_violations(source):
+    """(line, callee) for each call that breaks one of two rules:
+
+    - ``lu_solve`` must sit inside a ``with _LU_SOLVE_LOCK:`` block: LAPACK
+      getrs run from several threads on one factor corrupted the heap with
+      OpenBLAS 0.3.31 (see ``bhs.forward``);
+    - nothing may call ``onenormest`` or a legacy ``numpy.random`` function:
+      both draw from the global random state, and re-runs of a scenario must
+      stay byte-identical.
+
+    Callees are resolved through the module's imports. The lock rule is
+    lexical: a function defined inside the block counts as inside it.
+    """
+    tree = ast.parse(source)
+    bound = {}    # local name -> dotted module path or object it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is None:
+                    top = alias.name.split(".")[0]
+                    bound[top] = top
+                else:
+                    bound[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    locked = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.With) and any(
+                isinstance(item.context_expr, ast.Name) and item.context_expr.id == "_LU_SOLVE_LOCK"
+                for item in node.items):
+            locked |= {id(inner) for stmt in node.body for inner in ast.walk(stmt)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name):
+            continue
+        callee = ".".join([bound.get(func.id, func.id), *reversed(parts)])
+        name = callee.rsplit(".", 1)[-1]
+        random_name = callee[len("numpy.random."):].split(".")[0]
+        if ((name == "lu_solve" and id(node) not in locked) or name == "onenormest"
+                or (callee.startswith("numpy.random.")
+                    and random_name not in NUMPY_RANDOM_ALLOWED)):
+            found.append((node.lineno, callee))
+    return found
+
+
+def test_lock_and_random_check_finds_each_form():
+    source = """
+import numpy as np
+import numpy.random as npr
+import scipy.linalg as sla
+from numpy.random import rand
+from scipy.linalg import lu_solve
+from scipy.sparse.linalg import onenormest
+with _LU_SOLVE_LOCK:
+    sla.lu_solve(lu, b)
+    f = lambda y: lu_solve(lu, y)
+sla.lu_solve(lu, b)
+lu_solve(lu, b)
+np.random.uniform(0, 1, 3)
+npr.seed(1)
+rand(3)
+onenormest(A)
+with other_lock:
+    sla.lu_solve(lu, b)
+rng = np.random.default_rng(7)
+rng.uniform(0, 1, 3)
+np.random.Generator(np.random.PCG64(3))
+"""
+    assert [line for line, _ in lock_and_random_violations(source)] == [11, 12, 13, 14, 15, 16, 18]
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "src" / "bhs").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_lu_solves_hold_the_lock_and_no_global_random_state(path):
+    found = lock_and_random_violations(path.read_text(encoding="utf-8"))
+    assert not found, f"{path.name} breaks the lock or random-state rule: {found}"
 
 
 def test_every_scenario_is_pinned():

@@ -384,6 +384,67 @@ def test_condition_estimate_tracks_dense_condition_number():
 
 
 # ---------------------------------------------------------------------------
+# Block elimination against dense factorizations of the assembled matrix
+# ---------------------------------------------------------------------------
+_BLOCK_CASES = [(name, kappa, n) for name in ("apple", "peanut", "peach")
+                for kappa in (np.pi, 2 * np.pi) for n in (64, 128)]
+
+
+@pytest.fixture(scope="module")
+def block_cases():
+    """(case, solver, disc, kappa, assembled matrix) for each of _BLOCK_CASES."""
+    out = []
+    for name, kappa, n in _BLOCK_CASES:
+        disc = discretize(make_named_curve(name), n)
+        out.append(((name, kappa, n), ClampedSolver(disc, kappa), disc, kappa,
+                    assemble_system(disc, kappa)))
+    return out
+
+
+def test_block_solve_far_field_matches_dense_solve(block_cases):
+    for case, solver, disc, kappa, A in block_cases:
+        dirs = equiangular_directions(8)
+        h1, h2 = plane_wave_data(disc, kappa, dirs)
+        phiH, _ = solver.solve_columns(h1, h2)
+        dense = np.linalg.solve(A, np.concatenate([h1, h2]))[:disc.node_count]
+        F, F_dense = (far_field(phi, disc, kappa, dirs) for phi in (phiH, dense))
+        assert np.max(np.abs(F - F_dense)) <= 1e-13 * np.max(np.abs(F_dense)), case
+
+
+def test_block_solve_residual_with_ill_conditioned_modified_block():
+    """Circle at kappa = 4 pi, n = 128: the modified-Helmholtz quadrature is
+    poor there and the pivot block A22 has cond_1 about 2.2e6, yet each
+    column's residual stays at rounding level."""
+    disc = discretize(make_named_curve("circle"), 128)
+    kappa, m = 4 * np.pi, disc.node_count
+    A = assemble_system(disc, kappa)
+    assert np.linalg.cond(A[m:, m:].real, 1) > 1e6
+    h1, h2 = plane_wave_data(disc, kappa, equiangular_directions(8))
+    x = np.concatenate(ClampedSolver(disc, kappa).solve_columns(h1, h2))
+    residual = np.linalg.norm(A @ x - np.concatenate([h1, h2]), 1, axis=0)
+    assert np.max(residual / (np.linalg.norm(A, 1) * np.linalg.norm(x, 1, axis=0))) < 1e-14
+
+
+def test_condition_estimate_matches_gecon(block_cases):
+    for case, solver, disc, kappa, A in block_cases:
+        lu, _ = sla.lu_factor(A)
+        rcond, _ = sla.get_lapack_funcs("gecon", (lu,))(lu, np.linalg.norm(A, 1), norm="1")
+        assert 0.5 < solver.condition_estimate * rcond < 2.0, case
+
+
+def test_condition_estimate_is_deterministic():
+    """The estimate uses no random vectors: two constructions agree bit for
+    bit and the global numpy random state is left as it was."""
+    disc = discretize(make_named_curve("apple"), 64)
+    state = np.random.get_state()
+    first = ClampedSolver(disc, 2 * np.pi).condition_estimate
+    after = np.random.get_state()
+    assert first == ClampedSolver(disc, 2 * np.pi).condition_estimate
+    assert state[0] == after[0] and np.array_equal(state[1], after[1])
+    assert state[2:] == after[2:]
+
+
+# ---------------------------------------------------------------------------
 # Noise model
 # ---------------------------------------------------------------------------
 def test_add_noise_zero_delta(apple_solution):
