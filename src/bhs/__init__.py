@@ -23,10 +23,10 @@ from .exceptions import (
 )
 from .geometry import BoundaryDiscretization, ParametricCurve, discretize, make_named_curve
 from .grids import IndicatorMap, SamplingGrid, equiangular_angles, equiangular_directions
+from .disk import analytic_disk_far_field, disk_far_field
 from .forward import (
     ClampedSolver,
     add_noise,
-    analytic_disk_far_field,
     assemble_system,
     evaluate_scattered,
     far_field,
@@ -40,7 +40,6 @@ from .lsm import classify, lsm_indicator, phi_infinity_rhs
 from .esm import (
     LocalizationResult,
     build_disk_kernel,
-    disk_far_field,
     esm_indicator,
     multilevel_esm,
     translated_kernel,

@@ -20,13 +20,13 @@ import sys
 from .exceptions import BhsError, ConfigError, FormatError
 from . import fileio
 from .forward import reciprocity_residual
-from .scenario import load_scenario, run
+from .scenario import MODES, load_scenario, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bhs", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for mode in ("forward", "lsm", "esm", "esm-multilevel"):
+    for mode in MODES:
         p = sub.add_parser(mode, help=f"run a {mode} scenario")
         p.add_argument("scenario", help="scenario file (key=value lines)")
         p.add_argument("-o", "--out", default=None, help="output path prefix override")

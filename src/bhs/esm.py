@@ -8,9 +8,10 @@ point z,
                                             U(xhat_i, yhat_j),
 
 where U is the separation-of-variables far field of the origin-centered
-disk. The regularized solution norm ||g_z|| stays bounded where the cavity
-is contained in B_z and blows up where B_z misses it; the normalized map
-||g_z|| / max ||g_z|| is minimized at the estimated location.
+disk (:func:`bhs.disk.disk_far_field`). The regularized solution norm
+||g_z|| stays bounded where the cavity is contained in B_z and blows up
+where B_z misses it; the normalized map ||g_z|| / max ||g_z|| is minimized
+at the estimated location.
 
 Because the translation enters A^z only through unitary diagonal factors,
 
@@ -23,12 +24,8 @@ grid and every incident direction.
 
 On a sampling grid e^{i kappa xhat.z} = ex[:, ix] ey[:, iy] with
 ex = e^{i kappa xhat_1 xs} (N, nx) and ey = e^{i kappa xhat_2 ys} (N, ny), built
-once per wavenumber: N (nx + ny) exponentials. Each data column b then costs
-one real (ny x K(K+1)) @ (K(K+1) x nx) product of pair factors of the Gram
-matrix of diag(f) U* diag(b) (see :meth:`TikhonovFactorization.plane_wave_norms`),
-K(K+1) multiply-adds per point with K = N // 2 + 1 classes of mirrored
-directions, with the rounding bound stated in :mod:`bhs.lsm`, never an
-(N, nx ny) block.
+once per wavenumber; each data column then costs one Gram product, whose cost
+and rounding :meth:`TikhonovFactorization.plane_wave_norms` states.
 
 Every entry point takes plain arrays, as :func:`bhs.lsm.lsm_indicator` does:
 ``esm_indicator(columns, wavenumbers, grid, radius, alpha, meta)`` with
@@ -38,14 +35,13 @@ and ``multilevel_esm(column, kappa, R0, region, alpha)`` for one column.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special as _sp
 from scipy.linalg import circulant
 
+from .disk import disk_far_field, guard_radius
 from .exceptions import DataError
 from .grids import IndicatorMap, SamplingGrid, equiangular_angles, equiangular_directions
 from .linalg import TikhonovFactorization
@@ -62,66 +58,9 @@ __all__ = [
 
 DEFAULT_ALPHA = 1e-4
 
-_TAIL_TOL = 1e-14
-_EIGENVALUE_GUARD = 1e-8
 _MAX_LEVELS = 8
 _LEVEL_GRID_CAP = 256
 _LEVEL_GRID_FRACTION = 32
-
-
-def _mode_ratios(R: float, kappa: float) -> np.ndarray:
-    """Series coefficients J_n(kR)/H_n^(1)(kR), truncated at the smallest
-    n >= kR + 10 whose ratio magnitude falls below ``_TAIL_TOL``."""
-    z = kappa * R
-    n_max = max(int(np.ceil(z + 10.0)), 1)
-    while abs(_sp.jv(n_max, z) / _sp.hankel1(n_max, z)) >= _TAIL_TOL:
-        n_max += 1
-    ns = np.arange(n_max + 1)
-    return _sp.jv(ns, z) / _sp.hankel1(ns, z)
-
-
-def disk_far_field(R: float, kappa: float, theta_x, theta_y) -> complex | np.ndarray:
-    """Sound-soft disk far field U(theta_x, theta_y) for the origin-centered disk.
-
-    Separation of variables gives
-
-        -e^{-i pi/4} sqrt(2/(pi kappa)) [ J_0(kR)/H_0(kR)
-            + 2 sum_{n>=1} J_n(kR)/H_n(kR) cos(n (theta_x - theta_y)) ].
-
-    Depends on the angles only through their difference and is symmetric in
-    them. H_n^(1) never vanishes for real positive argument, so every term
-    is finite.
-    """
-    if not (R > 0.0 and kappa > 0.0):
-        raise ValueError("R and kappa must be positive")
-    ratios = _mode_ratios(R, kappa)
-    delta = np.asarray(theta_x, dtype=float) - np.asarray(theta_y, dtype=float)
-    scalar = delta.ndim == 0
-    delta = np.atleast_1d(delta)
-    ns = np.arange(1, len(ratios))
-    series = ratios[0] + 2.0 * np.einsum("n,nk->k", ratios[1:], np.cos(np.outer(ns, delta)))
-    out = -np.exp(-1j * np.pi / 4.0) * np.sqrt(2.0 / (np.pi * kappa)) * series
-    return complex(out[0]) if scalar else out
-
-
-def _guard_radius(R: float, kappa: float) -> float:
-    """Perturb R by 1 percent if kappa^2 sits numerically on a Dirichlet
-    eigenvalue of the sampling disk (a zero of some J_n(kappa R)).
-
-    Only orders n <= kappa R can have a zero at kappa R (the first zero of
-    J_n exceeds n), so the scan stops there; higher orders are in their
-    decay regime where small values are natural, not eigenvalues.
-    """
-    z = kappa * R
-    ns = np.arange(int(np.floor(z)) + 1)
-    if np.min(np.abs(_sp.jv(ns, z))) > _EIGENVALUE_GUARD:
-        return R
-    warnings.warn(
-        f"kappa^2 is numerically a Dirichlet eigenvalue of the sampling disk "
-        f"(kappa R = {z:.9g}); perturbing R by 1%",
-        stacklevel=3,
-    )
-    return 1.01 * R
 
 
 def build_disk_kernel(R: float, kappa: float, N: int) -> np.ndarray:
@@ -137,7 +76,7 @@ def build_disk_kernel(R: float, kappa: float, N: int) -> np.ndarray:
         raise ValueError(f"kappa must be > 0, got {kappa}")
     if N < 2:
         raise ValueError(f"direction count must be >= 2, got {N}")
-    R = _guard_radius(R, kappa)
+    R = guard_radius(R, kappa)
     return circulant(disk_far_field(R, kappa, equiangular_angles(N), 0.0))
 
 

@@ -24,7 +24,6 @@ every value takes this path: the bytes stay exact and only speed is lost.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,8 +181,8 @@ def write_farfield(path, F: np.ndarray, kappa: float) -> None:
 
 
 def read_farfield(path) -> tuple[np.ndarray, float]:
-    """Read a far-field file as (F, kappa); warns on an odd direction count
-    (reciprocity diagnostics need an even grid) but accepts it."""
+    """Read a far-field file as (F, kappa). Any N >= 1 is accepted; an odd N
+    has no -xhat on its grid, so its reciprocity residual reads NaN."""
     header, data = _read(path, _FF_MAGIC)
     try:
         kappa, N = float(header["kappa"]), int(header["N"])
@@ -193,10 +192,7 @@ def read_farfield(path) -> tuple[np.ndarray, float]:
         raise FormatError(f"{path}: header key 'N' must be >= 1, got {N}")
     if not (np.isfinite(kappa) and kappa > 0.0):
         raise FormatError(f"{path}: header key 'kappa' must be finite and > 0, got {kappa}")
-    F = _rows(path, data, N, 2 * N).view(np.complex128)
-    if N % 2 != 0:
-        warnings.warn(f"{path}: odd direction count {N}; reciprocity diagnostics need even N")
-    return F, kappa
+    return _rows(path, data, N, 2 * N).view(np.complex128), kappa
 
 
 def _indicator_header(grid: SamplingGrid, meta: dict) -> list:

@@ -68,9 +68,10 @@ import scipy.linalg as sla
 from scipy import special as _sp
 
 from . import special
-from .exceptions import IllConditionedSystemError, NearBoundaryError, OracleError
+from .disk import analytic_disk_far_field  # the clamped-disk oracle, kept importable here
+from .exceptions import IllConditionedSystemError, NearBoundaryError
 from .geometry import BoundaryDiscretization, ParametricCurve, discretize
-from .grids import equiangular_directions
+from .grids import antipodes, equiangular_directions
 
 __all__ = [
     "plane_wave_data",
@@ -410,12 +411,12 @@ def far_field_columns(curve: ParametricCurve, kappa: float, obs_count: int,
 def far_field_matrix(curve: ParametricCurve, kappa: float, N: int, n: int = 128) -> np.ndarray:
     """Discretized far-field operator F[i, j] = u_inf(xhat_i, d_j), an (N, N) complex array.
 
-    Observation and incidence share the equiangular grid theta_i = 2 pi i / N.
-    N must be even (so that -xhat lies on the grid for the reciprocity
-    diagnostic) and at least 8.
+    Observation and incidence share the equiangular grid theta_i = 2 pi i / N,
+    N >= 8. For an odd N, -xhat is not on the grid and
+    :func:`reciprocity_residual` reads NaN.
     """
-    if N < 8 or N % 2 != 0:
-        raise ValueError(f"direction count N must be even and >= 8, got {N}")
+    if N < 8:
+        raise ValueError(f"direction count N must be >= 8, got {N}")
     return far_field_columns(curve, kappa, N, equiangular_directions(N), n=n)
 
 
@@ -429,10 +430,10 @@ def reciprocity_residual(F: np.ndarray) -> float:
     F = np.asarray(F)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise ValueError(f"reciprocity diagnostic needs a square far field, got shape {F.shape}")
-    N = F.shape[0]
-    if N % 2 != 0:
+    anti = antipodes(len(F))
+    if anti is None:
         return float("nan")
-    flipped = np.roll(F, -(N // 2), axis=0)  # row i -> u_inf(-xhat_i, d_j)
+    flipped = F[anti]  # row i -> u_inf(-xhat_i, d_j)
     scale = np.max(np.abs(F))
     if scale == 0.0:
         return 0.0
@@ -456,47 +457,3 @@ def add_noise(F: np.ndarray, delta: float, seed: int) -> np.ndarray:
     E = rng.uniform(-1.0, 1.0, np.shape(F)) + 1j * rng.uniform(-1.0, 1.0, np.shape(F))
     E /= np.linalg.norm(E, 2)
     return F * (1.0 + delta * E)
-
-
-# ---------------------------------------------------------------------------
-# Analytic clamped-disk oracle
-# ---------------------------------------------------------------------------
-def analytic_disk_far_field(R: float, kappa: float, d, xhat) -> complex:
-    """Mode-matching far field for the clamped disk of radius R at the origin.
-
-    Expands the incident wave in J_n modes, solves the per-mode 2x2 clamped
-    system for H_n^(1) / K_n coefficients (value and radial-derivative
-    conditions at r = R), and converts the radiating part to the far-field
-    normalization. Matching the large-argument Hankel asymptotics against
-    that normalization gives the conversion factor -4i:
-
-        u_inf(xhat, d) = -4i sum_n a_n (-i)^n e^{i n (theta_x - theta_d)}.
-
-    Independent of the boundary-integral path; serves as its oracle. It
-    calls ``scipy.special`` directly, not ``bhs.special``, so that it does
-    not share the layer whose kernels it checks.
-    """
-    if not (R > 0.0 and kappa > 0.0):
-        raise ValueError("R and kappa must be positive")
-    d = np.asarray(d, dtype=float).reshape(2)
-    xhat = np.asarray(xhat, dtype=float).reshape(2)
-    z = kappa * R
-    n_modes = int(np.ceil(z + 8.0 * z ** (1.0 / 3.0) + 12.0))
-    ns = np.arange(n_modes + 1)
-
-    J = _sp.jv(ns, z)
-    Jp = _sp.jvp(ns, z)
-    H = _sp.hankel1(ns, z)
-    Hp = _sp.h1vp(ns, z)
-    K = _sp.kv(ns, z)
-    Kp = _sp.kvp(ns, z)
-
-    det = H * Kp - K * Hp
-    if np.any(np.abs(det) < 1e-300) or not np.all(np.isfinite(det)):
-        raise OracleError(f"singular clamped mode system at kappa R = {z:.6g}")
-    # Cramer for [H K; H' K'] (a, b) = -i^n (J, J'); only a_n radiates.
-    a = (1j**ns) * (Jp * K - J * Kp) / det
-
-    delta = np.arctan2(xhat[1], xhat[0]) - np.arctan2(d[1], d[0])
-    weights = np.where(ns == 0, 1.0, 2.0) * np.cos(ns * delta)
-    return complex(-4j * np.sum(a * (-1j) ** ns * weights))

@@ -1,6 +1,7 @@
 """Grids shared by the solver and both imaging methods: the one definition of the
-far-field direction grid theta_i = 2 pi i / N (for even N, -xhat_i is direction
-(i + N/2) mod N; odd N has no -xhat), and sampling grids with their indicator maps.
+far-field direction grid theta_i = 2 pi i / N and of its antipodes (for even N,
+-xhat_i is direction (i + N/2) mod N; odd N has no -xhat), and sampling grids
+with their indicator maps.
 
 The direction grid is exactly mirror-symmetric: row (N - i) mod N of
 :func:`equiangular_directions` is exactly (x_i, -y_i), and y = 0 exactly at
@@ -14,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["equiangular_angles", "equiangular_directions", "SamplingGrid", "IndicatorMap"]
+__all__ = ["equiangular_angles", "equiangular_directions", "antipodes", "SamplingGrid",
+           "IndicatorMap"]
 
 
 def equiangular_angles(N: int) -> np.ndarray:
@@ -35,6 +37,14 @@ def equiangular_directions(N: int) -> np.ndarray:
         y[-1] = 0.0
     mirror = slice((N - 1) // 2, 0, -1)    # rows N//2 + 1 .. N-1 are i = (N-1)//2 .. 1
     return np.stack([np.concatenate([x, x[mirror]]), np.concatenate([y, -y[mirror]])], axis=-1)
+
+
+def antipodes(N: int) -> np.ndarray | None:
+    """Index of -xhat_i on the N-point grid, (i + N/2) mod N, or None for odd N,
+    whose grid holds no -xhat."""
+    if N % 2:
+        return None
+    return (np.arange(N) + N // 2) % N
 
 
 @dataclass(frozen=True)

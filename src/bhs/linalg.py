@@ -69,7 +69,8 @@ class TikhonovFactorization:
         so the map is one real (ny x K(K+1)) @ (K(K+1) x nx) product of the pair
         factors of the K classes, K(K+1) multiply-adds per point, taken in
         blocks of at most N class pairs whose factors fit in one (ny, nx)
-        complex array. On the mirror-symmetric equiangular grid (see
+        complex array, so O(N (nx + ny) + N^2 + nx ny) values are held, never
+        an (N, nx ny) block. On the mirror-symmetric equiangular grid (see
         :mod:`bhs.grids`) K = N // 2 + 1; distinct rows give K = N, the plain
         sum over s <= t. Rounding moves ||g||^2 by up to
         N eps sum_{s <= t} |c_st G_st|; the result is floored there, so it is

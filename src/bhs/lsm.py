@@ -16,14 +16,8 @@ Tikhonov filter factors f).
 
 On a sampling grid e^{-i kappa xhat.z} = ex[:, ix] ey[:, iy] with
 ex = e^{-i kappa xhat_1 xs} (N, nx) and ey = e^{-i kappa xhat_2 ys} (N, ny), so
-the map costs N (nx + ny) exponentials and one real (ny x K(K+1)) @
-(K(K+1) x nx) product of pair factors of the Gram matrix G of diag(f) U*
-(see :meth:`TikhonovFactorization.plane_wave_norms`): mirrored directions
-share their x-factor, so K = N // 2 + 1 on the equiangular grid, K(K+1)
-multiply-adds per point and O(N (nx + ny) + N^2 + nx ny) values, never an
-(N, nx ny) block.
-Rounding moves ||g_z||^2 by at most N eps sum |c_st G_st|; the map is floored
-there, so every alpha > 0 gives a finite map.
+the map is one Gram product of diag(f) U*, whose cost and rounding floor (every
+alpha > 0 gives a finite map) :meth:`TikhonovFactorization.plane_wave_norms` states.
 """
 
 from __future__ import annotations

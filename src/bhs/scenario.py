@@ -52,11 +52,9 @@ from . import fileio, lsm
 from .exceptions import ConfigError
 from .forward import add_noise, far_field_columns, far_field_matrix, reciprocity_residual
 from .geometry import CURVE_NAMES, make_named_curve
-from .grids import SamplingGrid, equiangular_angles
+from .grids import SamplingGrid, antipodes, equiangular_angles
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "run"]
-
-MODES = ("forward", "lsm", "esm", "esm-multilevel")
 
 _GRID_KEYS = ("grid_xmin", "grid_xmax", "grid_ymin", "grid_ymax", "grid_nx", "grid_ny")
 _GRID_DEFAULTS = {
@@ -186,7 +184,8 @@ def _validate(s: Scenario, lines_of: dict) -> None:
         _fail("delta", where("delta"), "must be >= 0")
     if s.L < 1:
         _fail("L", where("L"), "must be >= 1")
-    if s.N < 8 or s.N % 2 != 0:
+    # Reciprocity is the accuracy witness of a synthesized run, so -xhat must be on the grid.
+    if s.N < 8 or antipodes(s.N) is None:
         _fail("N", where("N"), "must be even and >= 8")
     if s.n < 8 or s.n > 1024 or (s.n & (s.n - 1)) != 0:
         _fail("n", where("n"), "must be a power of two in [8, 1024]")
@@ -355,6 +354,7 @@ _DRIVERS = {
     "esm": _run_esm,
     "esm-multilevel": _run_esm_multilevel,
 }
+MODES = tuple(_DRIVERS)
 
 
 def run(scenario: Scenario, out: str | None = None):

@@ -1,6 +1,7 @@
-"""Demos: every name the scripts import from bhs exists, the fast scripts run,
-and the scenario files run with the imaging outcomes the documentation records.
-Also checks which package modules the imaging methods import, that no
+"""Demos: every name the scripts import from bhs exists, the fast scripts and
+the README's library quick start run, and the scenario files run with the
+imaging outcomes the documentation records. Also checks which package
+modules the imaging methods and the disk series import, that no
 package code passes ``where=`` to a special function, that every LU
 back-substitution holds the solver lock and that nothing draws from numpy's
 global random state."""
@@ -86,6 +87,31 @@ def test_imaging_method_does_not_import_the_solver(module):
               if isinstance(node, ast.Import) for alias in node.names
               if alias.name == "bhs.forward"]
     assert not found, f"bhs.{module} imports the forward solver: {found}"
+
+
+def test_disk_module_imports_only_the_exceptions():
+    """bhs.disk is the oracle of the solver, so it shares no package code with
+    it (not bhs.special in particular): its only package import is bhs.exceptions."""
+    path = REPO / "src" / "bhs" / "disk.py"
+    found = [f"line {line}: {name} from {mod}" for mod, name, line in bhs_imports(path)
+             if mod != "bhs.exceptions" and (mod, name) != ("bhs", "exceptions")]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found += [f"line {node.lineno}: import {alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.Import) for alias in node.names
+              if alias.name.split(".")[0] == "bhs" and alias.name != "bhs.exceptions"]
+    assert not found, f"bhs.disk imports package code besides bhs.exceptions: {found}"
+
+
+def test_readme_quick_start_runs(tmp_path):
+    """The README's library quick start runs as printed, against src/."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    code = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    script = tmp_path / "quick_start.py"
+    script.write_text(code, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, f"README quick start failed:\n{result.stderr[-3000:]}"
 
 
 SPECIAL_MODULES = ("scipy.special", "bhs.special")

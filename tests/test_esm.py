@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy.linalg import circulant
 
 from bhs.esm import (
     build_disk_kernel,
@@ -76,6 +77,30 @@ def test_series_truncation_certified():
     idx = np.arange(N)
     U_ext = extended[(idx[:, None] - idx[None, :]) % N]
     assert np.max(np.abs(U_ext - U)) < 1e-12
+
+
+def _former_disk_kernel(R, kappa, N):
+    """The sound-soft kernel as built before the mode series moved to bhs.disk
+    (its _mode_ratios and disk_far_field, without the eigenvalue guard)."""
+    z = kappa * R
+    n_max = max(int(np.ceil(z + 10.0)), 1)
+    while abs(sp.jv(n_max, z) / sp.hankel1(n_max, z)) >= 1e-14:
+        n_max += 1
+    ratios = sp.jv(np.arange(n_max + 1), z) / sp.hankel1(np.arange(n_max + 1), z)
+    delta = 2.0 * np.pi * np.arange(N) / N
+    ns = np.arange(1, len(ratios))
+    series = ratios[0] + 2.0 * np.einsum("n,nk->k", ratios[1:], np.cos(np.outer(ns, delta)))
+    return circulant(-np.exp(-1j * np.pi / 4.0) * np.sqrt(2.0 / (np.pi * kappa)) * series)
+
+
+@pytest.mark.parametrize("N", [32, 40, 41])
+@pytest.mark.parametrize("kappa", [np.pi, 1.5 * np.pi, 2 * np.pi])
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.5])
+def test_kernel_bit_identical_to_former_series(R, kappa, N):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the eigenvalue guard does not fire on this lattice
+        U = build_disk_kernel(R, kappa, N)
+    assert np.array_equal(U, _former_disk_kernel(R, kappa, N))
 
 
 def test_kernel_circulant_and_symmetric():

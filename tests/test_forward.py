@@ -523,6 +523,43 @@ def test_disk_oracle_large_r_self_check():
     assert abs(limit - oracle) / abs(oracle) < 1e-3
 
 
+def _former_clamped_oracle(R, kappa, d, xhat):
+    """The clamped-disk oracle as it stood before the mode series moved to bhs.disk:
+    its own truncation z + 8 z^(1/3) + 12, the phases i^n (-i)^n and its own sum."""
+    z = kappa * R
+    ns = np.arange(int(np.ceil(z + 8.0 * z ** (1.0 / 3.0) + 12.0)) + 1)
+    det = sp.hankel1(ns, z) * sp.kvp(ns, z) - sp.kv(ns, z) * sp.h1vp(ns, z)
+    a = (1j**ns) * (sp.jvp(ns, z) * sp.kv(ns, z) - sp.jv(ns, z) * sp.kvp(ns, z)) / det
+    delta = np.arctan2(xhat[1], xhat[0]) - np.arctan2(d[1], d[0])
+    weights = np.where(ns == 0, 1.0, 2.0) * np.cos(ns * delta)
+    return complex(-4j * np.sum(a * (-1j) ** ns * weights))
+
+
+@pytest.mark.parametrize("kR", [0.03, 0.1, 1.0, np.pi, 2 * np.pi, 4 * np.pi, 20.0, 60.0])
+def test_disk_oracle_matches_its_former_series(kR):
+    """One truncation rule and one cosine sum for both disk series leave the oracle
+    within 1e-14 of its former standalone form, at 7 angles."""
+    R, kappa = 0.8, kR / 0.8
+    d = np.array([np.cos(0.3), np.sin(0.3)])
+    for theta in 0.3 + 2 * np.pi * np.arange(7) / 7 + 0.1:
+        xhat = np.array([np.cos(theta), np.sin(theta)])
+        expected = _former_clamped_oracle(R, kappa, d, xhat)
+        assert abs(analytic_disk_far_field(R, kappa, d, xhat) - expected) <= 1e-14 * abs(expected)
+
+
+def test_far_field_matrix_odd_direction_count():
+    """An odd N is accepted: F matches the clamped oracle, and the reciprocity
+    residual, which needs -xhat on the grid, reads NaN."""
+    kappa, N = 2 * np.pi, 33
+    F = far_field_matrix(make_named_curve("circle"), kappa, N, n=64)
+    dirs = equiangular_directions(N)
+    column = np.array([analytic_disk_far_field(1.0, kappa, dirs[0], xh) for xh in dirs])
+    i = np.arange(N)
+    expected = column[(i[:, None] - i[None, :]) % N]    # the disk's far field depends on theta_i - theta_j
+    assert np.max(np.abs(F - expected)) <= 1e-10 * np.max(np.abs(expected))
+    assert np.isnan(reciprocity_residual(F))
+
+
 def test_concurrent_column_solves(circle_disc):
     """Declared concurrency contract: column solves share the immutable factorization."""
     from concurrent.futures import ThreadPoolExecutor

@@ -1,10 +1,10 @@
-"""The far-field direction grid: exact mirror symmetry and the plane-wave
-x-factors it makes equal."""
+"""The far-field direction grid: exact mirror symmetry, the plane-wave
+x-factors it makes equal, and the antipode map."""
 
 import numpy as np
 import pytest
 
-from bhs.grids import SamplingGrid, equiangular_angles, equiangular_directions
+from bhs.grids import SamplingGrid, antipodes, equiangular_angles, equiangular_directions
 
 
 @pytest.mark.parametrize("N", range(1, 131))
@@ -31,3 +31,17 @@ def test_equiangular_plane_wave_factors_pair_up(N):
     for kappa in (np.pi, -2 * np.pi):
         ex, _ = grid.plane_wave_factors(kappa * equiangular_directions(N))
         assert len({row.tobytes() for row in ex}) == N // 2 + 1
+
+
+@pytest.mark.parametrize("N", range(1, 131))
+def test_antipodes(N):
+    """None for odd N; for even N an involution without fixed points that
+    maps each direction to its negative."""
+    anti = antipodes(N)
+    if N % 2:
+        assert anti is None
+        return
+    i = np.arange(N)
+    assert np.array_equal(anti[anti], i) and not np.any(anti == i)
+    d = equiangular_directions(N)
+    assert np.max(np.abs(d[anti] + d)) <= 2e-15
