@@ -56,64 +56,49 @@ class TikhonovFactorization:
         modulus 1; the result has shape (ny, nx). V is unitary, so with
         M = diag(f) U* diag(w), G = M* M and e = ex[:, ix] * ey[:, iy],
 
-            ||g||^2 = ||M e||^2 = sum_{s <= t} c_st Re(G_st conj(e_s) e_t),  c = 2 - [s = t].
+            ||g||^2 = ||M e||^2 = sum_{s, t} G_st conj(e_s) e_t.
 
-        conj(e_s) e_t = (conj(ex_s) ex_t)[ix] (conj(ey_s) ey_t)[iy] is separable.
-        Directions whose ``ex`` rows are bitwise equal form a class. Taking each
-        pair as (s, t) or (t, s) so that its classes run k <= l, and summing the
-        pairs of each class pair,
+        Directions whose ``ex`` rows are bitwise equal form a class; X_k is the
+        common row of class k. G is Hermitian, so summing over the members of
+        each pair of classes k <= l,
 
-            ||g||^2 = sum_{k <= l} Re(conj(a_kl[iy]) (conj(ex_k) ex_l)[ix]),
-            a_kl = sum_{(s, t) in (k, l)} c_st conj(G_st) ey_s conj(ey_t),
+            ||g||^2 = sum_{k <= l} c_kl Re(H_kl[iy] (conj(X_k) X_l)[ix]),  c = 2 - [k = l],
+            H_kl = sum_{s in k, t in l} conj(ey_s) G_st ey_t.
 
-        so the map is one real (ny x K(K+1)) @ (K(K+1) x nx) product of the pair
-        factors of the K classes, K(K+1) multiply-adds per point, taken in
-        blocks of at most N class pairs whose factors fit in one (ny, nx)
-        complex array, so O(N (nx + ny) + N^2 + nx ny) values are held, never
-        an (N, nx ny) block. On the mirror-symmetric equiangular grid (see
-        :mod:`bhs.grids`) K = N // 2 + 1; distinct rows give K = N, the plain
-        sum over s <= t. Rounding moves ||g||^2 by up to
-        N eps sum_{s <= t} |c_st G_st|; the result is floored there, so it is
-        finite and positive.
+        The classes are the rows of a (K, width) member table, padded with a
+        phantom direction whose row of ``ey`` is zero. For a block of at most N
+        class pairs, C = c_kl conj(G)[members(k), members(l)] and one stacked
+        product give conj(c_kl H_kl) = sum_{s in k} ey_s (C @ conj(ey)[members(l)])_s,
+        and the map is one real (ny x 2 block) @ (2 block x nx) product of these
+        factors with conj(X_k) X_l. That is K(K+1) multiply-adds per point, with
+        O(N (nx + ny) + N^2 + nx ny) values held, never an (N, nx ny) block. On
+        the mirror-symmetric equiangular grid (see :mod:`bhs.grids`)
+        K = N // 2 + 1; distinct rows give K = N, the plain sum over s <= t.
+        Rounding moves ||g||^2 by up to N eps sum_{s <= t} |c_st G_st|, taken on
+        the unfolded G; the result is floored there, so it is finite and
+        positive.
         """
         M = self._filtered_uh * np.asarray(w, dtype=np.complex128)
         G = M.conj().T @ M
-        s, t = np.triu_indices(len(G))
-        cG = np.where(s == t, 1.0, 2.0) * G[s, t].conj()      # c_st conj(G_st)
-        floor = len(G) * np.finfo(float).eps * np.abs(cG).sum()
-        classes = {}    # ex row bytes -> class, numbered by first occurrence
-        cls = np.array([classes.setdefault(row.tobytes(), len(classes)) for row in np.asarray(ex)])
-        K = len(classes)
-        # Re(conj(a) px) = Re(a conj(px)): a pair whose classes run k > l is
-        # taken as (t, s) with its coefficient conjugated.
-        flip = cls[s] > cls[t]
-        s, t = np.where(flip, t, s), np.where(flip, s, t)
-        cG[flip] = cG[flip].conj()
-        k, l = cls[s], cls[t]
-        q = k * K - k * (k - 1) // 2 + l - k    # index of (k, l) in np.triu_indices(K)
-        order = np.argsort(q, kind="stable")
-        # Pair r of class pair q is member[q, r]. Class pairs with fewer pairs
-        # than the largest are padded with pair len(q), whose coefficient is 0.
-        start = np.searchsorted(q[order], np.arange(K * (K + 1) // 2))
-        size = np.diff(start, append=len(q))
-        r = np.arange(size.max())
-        member = np.where(r < size[:, None], start[:, None] + r, len(q))
-        s, t, cG = np.append(s[order], 0), np.append(t[order], 0), np.append(cG[order], 0.0)
-        ex = np.ascontiguousarray(ex.T)    # (nx, N)
-        sq = np.zeros((ey.shape[1], len(ex)))
-        block = max(1, min(len(G), sq.size // sum(sq.shape)))
-
-        def coefficients(p):
-            # conj(c_st G_st conj(ey_s) ey_t) for the pairs p, one row each
-            return np.take(ey, s[p], 0) * np.take(ey, t[p], 0).conj() * cG[p, None]
-
-        for m in (member[lo:lo + block].T for lo in range(0, len(member), block)):
-            a = coefficients(m[0])
-            for p in m[1:]:
-                a += coefficients(p)
-            a = np.ascontiguousarray(a.T)
-            # a class pair's term Re(conj(a) px) is the dot product of the (re, im)
-            # views of a and px = conj(ex_k) ex_l, read off its first pair.
-            px = np.take(ex, s[m[0]], 1).conj() * np.take(ex, t[m[0]], 1)
+        N = len(G)
+        s, t = np.triu_indices(N)
+        floor = N * np.finfo(float).eps * np.abs(np.where(s == t, 1.0, 2.0) * G[s, t]).sum()
+        classes = {}    # ex row bytes -> its directions, classes numbered by first occurrence
+        for i, row in enumerate(ex):
+            classes.setdefault(row.tobytes(), []).append(i)
+        width = max(map(len, classes.values()))
+        member = np.array([m + [N] * (width - len(m)) for m in classes.values()])   # (K, width)
+        cG = np.pad(G.conj(), (0, 1))                   # direction N is the phantom
+        E = np.pad(ey, ((0, 1), (0, 0)))[member]        # (K, width, ny)
+        X = np.ascontiguousarray(ex[member[:, 0]].T)    # (nx, K)
+        k, l = np.triu_indices(len(member))
+        c = np.where(k == l, 1.0, 2.0)
+        sq = np.zeros((E.shape[2], len(X)))
+        block = max(1, min(N, sq.size // sum(sq.shape)))
+        for b in (slice(lo, lo + block) for lo in range(0, len(k), block)):
+            C = c[b, None, None] * cG[member[k[b], :, None], member[l[b], None, :]]
+            a = np.ascontiguousarray((E[k[b]] * (C @ E[l[b]].conj())).sum(1).T)    # conj(c_kl H_kl)
+            px = np.take(X, k[b], 1).conj() * np.take(X, l[b], 1)
+            # Re(conj(a) px) is the dot product of the (re, im) views of a and px.
             sq += a.view(np.float64) @ px.view(np.float64).T
         return np.sqrt(np.maximum(sq, floor, out=sq))

@@ -16,7 +16,8 @@ Recognized keys (defaults in parentheses):
                     farfield_in, whose file sets it (giving both is an error)
     kappa_min, kappa_max, L   uniform multi-frequency grid (mode=esm only, and
                     kappa_min/kappa_max only with L > 1; L=1)
-    N               direction count (32)
+    N               direction count, >= 8 (32); even for forward and lsm, whose
+                    manifests report the reciprocity residual
     n               boundary quadrature parameter, power of two (128)
     delta           relative noise level (0); forward and lsm data only
     seed            noise seed (0)
@@ -184,9 +185,10 @@ def _validate(s: Scenario, lines_of: dict) -> None:
         _fail("delta", where("delta"), "must be >= 0")
     if s.L < 1:
         _fail("L", where("L"), "must be >= 1")
-    # Reciprocity is the accuracy witness of a synthesized run, so -xhat must be on the grid.
-    if s.N < 8 or antipodes(s.N) is None:
-        _fail("N", where("N"), "must be even and >= 8")
+    # Reciprocity is the accuracy witness of forward and lsm runs, so -xhat must be on their grid.
+    witnessed = s.mode in ("forward", "lsm")
+    if s.N < 8 or (witnessed and antipodes(s.N) is None):
+        _fail("N", where("N"), "must be even and >= 8" if witnessed else "must be >= 8")
     if s.n < 8 or s.n > 1024 or (s.n & (s.n - 1)) != 0:
         _fail("n", where("n"), "must be a power of two in [8, 1024]")
     for key in ("grid_nx", "grid_ny"):

@@ -107,6 +107,30 @@ def test_parse_errors_name_the_key(text, needle):
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("text", [
+    "mode=esm\nshape=apple\nkappa=3\nR=0.5\nN=41\n",
+    "mode=esm-multilevel\nshape=apple\nkappa=3\nR0=4\nN=41\n",
+], ids=["esm", "esm-multilevel"])
+def test_esm_modes_accept_odd_direction_count(text):
+    # ESM manifests report no reciprocity residual, so -xhat need not be on the grid.
+    assert parse_scenario(text).N == 41
+    with pytest.raises(ConfigError, match="key 'N' \\(line 5\\): must be >= 8"):
+        parse_scenario(text.replace("N=41", "N=7"))
+
+
+@pytest.mark.parametrize("mode", ["forward", "lsm"])
+def test_reciprocity_modes_reject_odd_direction_count(mode):
+    with pytest.raises(ConfigError, match="key 'N' \\(line 4\\): must be even and >= 8"):
+        parse_scenario(f"mode={mode}\nshape=apple\nkappa=3\nN=41\n")
+
+
+def test_esm_run_at_odd_direction_count(tmp_path):
+    text = ("mode=esm\nshape=peanut\nkappa=6.283185307179586\nN=41\nn=64\nR=0.5\n"
+            "directions=0,1.5\ngrid_nx=40\ngrid_ny=40\n")
+    run(parse_scenario(text), out=str(tmp_path / "odd"))
+    assert parse_scenario((tmp_path / "odd.manifest").read_text()).N == 41
+
+
 def test_parse_error_reports_line_number():
     with pytest.raises(ConfigError, match="line 3"):
         parse_scenario("mode=lsm\nshape=apple\nkappa=-1\n")

@@ -147,11 +147,15 @@ def directions_at(angles):
 @pytest.mark.parametrize("directions", [
     *(equiangular_directions(N) for N in (8, 9, 32, 40)),
     directions_at(np.array([0.3, 1.1, 0.3, 2.0, 4.0, 0.3, 5.5])),
-], ids=["N8", "N9", "N32", "N40", "class-of-3"])
+    directions_at(np.array([1.1, 0.3, -0.3, 2.0, 0.3, 5.5, -1.1])),
+    equiangular_directions(40)[np.arange(-10, 11) % 40],
+], ids=["N8", "N9", "N32", "N40", "class-of-3", "mixed-widths", "N40-half-arc"])
 def test_folded_plane_wave_norms_within_gram_rounding_bound(directions):
     """Directions with equal x-factors are folded into one class; the folded
-    ||g||^2 is within the rounding bound of the dense solve. The last set
-    repeats one direction three times."""
+    ||g||^2 is within the rounding bound of the dense solve. The class-of-3 set
+    repeats one direction three times; mixed-widths has classes of sizes 2, 3,
+    1 and 1, the widest not first; N40-half-arc is the closed arc of 21
+    directions centred on theta = 0, in 11 classes."""
     rng = np.random.default_rng(len(directions))
     N = len(directions)
     fact = TikhonovFactorization(random_complex(rng, N, N), 1e-4)
