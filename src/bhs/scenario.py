@@ -17,8 +17,10 @@ Recognized keys (defaults in parentheses):
     kappa_min, kappa_max, L   uniform multi-frequency grid (mode=esm only, and
                     kappa_min/kappa_max only with L > 1; L=1)
     N               direction count, >= 8 (32); even for forward and lsm, whose
-                    manifests report the reciprocity residual
-    n               boundary quadrature parameter, power of two (128)
+                    manifests report the reciprocity residual; not with
+                    farfield_in, whose file sets it
+    n               boundary quadrature parameter, power of two (128); not
+                    with farfield_in, which needs no quadrature
     delta           relative noise level (0); forward and lsm data only
     seed            noise seed (0)
     alpha           Tikhonov parameter (1e-6 for lsm, 1e-4 for esm modes)
@@ -32,7 +34,13 @@ Recognized keys (defaults in parentheses):
                     mode=esm-multilevel takes exactly one
     out             output path prefix (run)
     farfield_in     read far-field data from this file instead of synthesizing
-                    (lsm, esm with L=1 and esm-multilevel; not with kappa or delta)
+                    (lsm, esm with L=1 and esm-multilevel; not with kappa, N,
+                    n or delta)
+
+Each key is one field of :class:`Scenario` that carries its default, its
+parser, its bound and the one mode that reads it; a key of another mode is an
+error unless it is at its default. A new key that needs no rule across keys is
+one field line, plus its entries in this list and in the README.
 
 All randomness flows from ``seed``; re-running an identical scenario
 produces byte-identical outputs. Each run writes a ``<out>.manifest`` that
@@ -43,7 +51,7 @@ as comments.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,33 +73,56 @@ _GRID_DEFAULTS = {
 _ALPHA_DEFAULTS = {"lsm": lsm.DEFAULT_ALPHA, "esm": esm_mod.DEFAULT_ALPHA}
 
 
+def _floats(value: str) -> tuple:
+    return tuple(float(p) for p in value.split(","))
+
+
+def _pair(value: str) -> tuple:
+    parsed = _floats(value)
+    if len(parsed) != 2:
+        raise ValueError("expected two comma-separated numbers")
+    return parsed
+
+
+def _key(default, parse=float, rule=None, owner=None):
+    """One scenario key: its default, its parser, a (test, message) bound on its value
+    and the one mode that reads it (None: every mode)."""
+    return field(default=default, metadata={"parse": parse, "rule": rule, "owner": owner})
+
+
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_GRID_SIZE = (lambda v: v >= 2, "must be >= 2")
+
+
 @dataclass(frozen=True)
 class Scenario:
-    mode: str
-    shape: str | None = None
-    center: tuple = (0.0, 0.0)
-    scale: float = 1.0
-    kappa: float | None = None
-    kappa_min: float | None = None
-    kappa_max: float | None = None
-    L: int = 1
-    N: int = 32
-    n: int = 128
-    delta: float = 0.0
-    seed: int = 0
-    alpha: float | None = None
-    grid_xmin: float | None = None
-    grid_xmax: float | None = None
-    grid_ymin: float | None = None
-    grid_ymax: float | None = None
-    grid_nx: int | None = None
-    grid_ny: int | None = None
-    zeta: float = 0.2
-    R: float | None = None
-    R0: float | None = None
-    directions: tuple = (np.pi / 3,)
-    out: str = "run"
-    farfield_in: str | None = None
+    mode: str = _key(MISSING, str)
+    shape: str | None = _key(None, str, (lambda v: v in CURVE_NAMES,
+                                         f"must be one of {CURVE_NAMES}"))
+    center: tuple = _key((0.0, 0.0), _pair)
+    scale: float = _key(1.0, rule=_POSITIVE)
+    kappa: float | None = _key(None, rule=_POSITIVE)
+    kappa_min: float | None = _key(None, rule=_POSITIVE, owner="esm")
+    kappa_max: float | None = _key(None, rule=_POSITIVE, owner="esm")
+    L: int = _key(1, int, (lambda v: v >= 1, "must be >= 1"), owner="esm")
+    N: int = _key(32, int)                  # its bound depends on the mode: see _validate
+    n: int = _key(128, int, (lambda v: 8 <= v <= 1024 and v & (v - 1) == 0,
+                             "must be a power of two in [8, 1024]"))
+    delta: float = _key(0.0, rule=(lambda v: v >= 0, "must be >= 0"))
+    seed: int = _key(0, int)
+    alpha: float | None = _key(None, rule=_POSITIVE)
+    grid_xmin: float | None = _key(None)
+    grid_xmax: float | None = _key(None)
+    grid_ymin: float | None = _key(None)
+    grid_ymax: float | None = _key(None)
+    grid_nx: int | None = _key(None, int, _GRID_SIZE)
+    grid_ny: int | None = _key(None, int, _GRID_SIZE)
+    zeta: float = _key(0.2, rule=_POSITIVE)
+    R: float | None = _key(None, rule=_POSITIVE, owner="esm")
+    R0: float | None = _key(None, rule=_POSITIVE, owner="esm-multilevel")
+    directions: tuple = _key((np.pi / 3,), _floats)
+    out: str = _key("run", str)
+    farfield_in: str | None = _key(None, str)
 
     def effective_alpha(self) -> float:
         if self.alpha is not None:
@@ -114,14 +145,7 @@ class Scenario:
         return [self.kappa]
 
 
-_PARSERS = {
-    "mode": str, "shape": str, "out": str, "farfield_in": str,
-    "scale": float, "kappa": float, "kappa_min": float, "kappa_max": float,
-    "delta": float, "alpha": float, "zeta": float, "R": float, "R0": float,
-    "grid_xmin": float, "grid_xmax": float, "grid_ymin": float, "grid_ymax": float,
-    "L": int, "N": int, "n": int, "seed": int, "grid_nx": int, "grid_ny": int,
-    "center": "pair", "directions": "floats",
-}
+_KEYS = {spec.name: spec for spec in fields(Scenario)}
 
 
 def _fail(key: str, line_no: int, why: str):
@@ -139,21 +163,15 @@ def parse_scenario(text: str) -> Scenario:
         if "=" not in stripped:
             raise ConfigError(f"line {line_no}: expected key=value, got {stripped!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key '{key}' (line {line_no})")
         if key in raw:
             warnings.warn(f"duplicate key '{key}' on line {line_no}; last value wins")
-        kind = _PARSERS[key]
         try:
-            if kind in ("pair", "floats"):
-                parsed = tuple(float(p) for p in value.split(","))
-                if kind == "pair" and len(parsed) != 2:
-                    raise ValueError("expected two comma-separated numbers")
-            else:
-                parsed = kind(value)
+            parsed = _KEYS[key].metadata["parse"](value)
         except ValueError as exc:
             _fail(key, line_no, f"malformed value {value!r} ({exc})")
-        if kind in (float, "pair", "floats") and not np.all(np.isfinite(parsed)):
+        if isinstance(parsed, (float, tuple)) and not np.all(np.isfinite(parsed)):
             _fail(key, line_no, f"must be finite, got {value!r}")
         raw[key] = parsed
         lines_of[key] = line_no
@@ -173,30 +191,14 @@ def _validate(s: Scenario, lines_of: dict) -> None:
 
     if s.mode not in MODES:
         _fail("mode", where("mode"), f"must be one of {MODES}, got {s.mode!r}")
-    if s.shape is not None and s.shape not in CURVE_NAMES:
-        _fail("shape", where("shape"), f"must be one of {CURVE_NAMES}")
-    if s.scale <= 0:
-        _fail("scale", where("scale"), "must be > 0")
-    for key in ("kappa", "kappa_min", "kappa_max", "alpha", "zeta", "R", "R0"):
-        value = getattr(s, key)
-        if value is not None and value <= 0:
-            _fail(key, where(key), "must be > 0")
-    if s.delta < 0:
-        _fail("delta", where("delta"), "must be >= 0")
-    if s.L < 1:
-        _fail("L", where("L"), "must be >= 1")
-    # Reciprocity is the accuracy witness of forward and lsm runs, so -xhat must be on their grid.
-    witnessed = s.mode in ("forward", "lsm")
-    if s.N < 8 or (witnessed and antipodes(s.N) is None):
-        _fail("N", where("N"), "must be even and >= 8" if witnessed else "must be >= 8")
-    if s.n < 8 or s.n > 1024 or (s.n & (s.n - 1)) != 0:
-        _fail("n", where("n"), "must be a power of two in [8, 1024]")
-    for key in ("grid_nx", "grid_ny"):
-        value = getattr(s, key)
-        if value is not None and value < 2:
-            _fail(key, where(key), "must be >= 2")
-    if not s.directions:
-        _fail("directions", where("directions"), "must be nonempty")
+    # Each key's bound, then its owner: a key of another mode would be ignored yet recorded in
+    # the manifest, unless it is at its default (every manifest writes L=1: only L > 1 is stray).
+    for key, spec in _KEYS.items():
+        value, rule, owner = getattr(s, key), spec.metadata["rule"], spec.metadata["owner"]
+        if value is not None and rule is not None and not rule[0](value):
+            _fail(key, where(key), rule[1])
+        if owner not in (None, s.mode) and value != spec.default:
+            _fail(key, where(key), f"applies to mode={owner} only")
     bounds = s._grid_values()
     for lo, hi in (("grid_xmin", "grid_xmax"), ("grid_ymin", "grid_ymax")):
         if not bounds[lo] < bounds[hi]:
@@ -208,21 +210,20 @@ def _validate(s: Scenario, lines_of: dict) -> None:
             _fail("shape", 0, f"required for mode={s.mode} without farfield_in")
     elif s.mode == "forward":
         _fail("farfield_in", where("farfield_in"), "mode=forward synthesizes its data")
-    elif s.kappa is not None:
-        _fail("kappa", where("kappa"), "the farfield_in file sets kappa; drop kappa")
+    elif s.kappa is not None or "N" in lines_of:
+        key = "N" if s.kappa is None else "kappa"
+        _fail(key, where(key), f"the farfield_in file sets {key}; drop {key}")
+    elif "n" in lines_of:
+        _fail("n", where("n"), "the quadrature applies when synthesizing data; drop n")
     elif s.delta > 0:
         _fail("delta", where("delta"),
               "noise applies when synthesizing data; drop farfield_in or set delta=0")
     if s.mode in ("esm", "esm-multilevel") and s.delta > 0:
         _fail("delta", where("delta"), f"mode={s.mode} adds no noise to its data; set delta=0")
-    # A key of another mode would be ignored yet recorded in the manifest.
-    # Every manifest writes the default L=1, so only L > 1 is stray.
-    for key, given, owner in (("L", s.L > 1, "esm"), ("kappa_min", s.kappa_min is not None, "esm"),
-                              ("kappa_max", s.kappa_max is not None, "esm"),
-                              ("R", s.R is not None, "esm"),
-                              ("R0", s.R0 is not None, "esm-multilevel")):
-        if given and s.mode != owner:
-            _fail(key, where(key), f"applies to mode={owner} only")
+    # Reciprocity is the accuracy witness of forward and lsm runs, so -xhat must be on their grid.
+    witnessed = s.mode in ("forward", "lsm")
+    if s.N < 8 or (witnessed and antipodes(s.N) is None):
+        _fail("N", where("N"), "must be even and >= 8" if witnessed else "must be >= 8")
     if s.mode == "esm":
         if s.R is None:
             _fail("R", 0, "required for mode=esm")
@@ -260,11 +261,12 @@ def _fmt(x) -> str:
 def _manifest(path, scenario: Scenario, diagnostics: dict) -> None:
     """Write a manifest that is itself a valid scenario re-running the job."""
     lines = ["#bhman v1  (re-runnable scenario)"]
-    for key in sorted(_PARSERS):
+    for key in sorted(_KEYS):
         value = getattr(scenario, key)
-        if value is None:
+        # A farfield_in run takes N from its file and synthesizes nothing, so it used neither.
+        if value is None or (scenario.farfield_in is not None and key in ("N", "n")):
             continue
-        if key in ("center", "directions"):
+        if isinstance(value, tuple):
             value = ",".join(_fmt(v) for v in value)
         lines.append(f"{key}={_fmt(value)}")
     for key in sorted(diagnostics):

@@ -1,8 +1,10 @@
 """Scenario parsing, end-to-end drivers, CLI determinism and error paths."""
 
+import dataclasses
 import hashlib
 import importlib
 import pkgutil
+import re
 import warnings
 
 import numpy as np
@@ -100,10 +102,89 @@ def test_parse_comments_and_duplicates():
         ("mode=lsm\nshape=apple\nkappa=1\ngrid_xmin=2\n", "key 'grid_xmin' \\(line 4\\)"),
         ("mode=esm\nshape=apple\nkappa=1\nR=1\ngrid_ymax=-4\n",
          "key 'grid_ymax' \\(line 5\\)"),
+        # The file fixes N and nothing is synthesized, so a given N or n would only be recorded.
+        ("mode=lsm\nfarfield_in=x.ff\nN=16\n",
+         "^key 'N' \\(line 3\\): the farfield_in file sets N; drop N$"),
+        ("mode=esm\nfarfield_in=x.ff\nR=1\nn=32\n",
+         "^key 'n' \\(line 4\\): the quadrature applies when synthesizing data; drop n$"),
+        # An empty list fails in the parse, before any rule sees it.
+        ("mode=esm\nshape=apple\nkappa=1\nR=1\ndirections=\n",
+         "key 'directions' \\(line 5\\): malformed value ''"),
     ],
 )
 def test_parse_errors_name_the_key(text, needle):
     with pytest.raises(ConfigError, match=needle):
+        parse_scenario(text)
+
+
+MODES = "('forward', 'lsm', 'esm', 'esm-multilevel')"
+
+
+@pytest.mark.parametrize("text,message", [
+    # The parse: syntax, key names, number formats.
+    ("mode=lsm\nshape=apple\nkappa 1\n", "line 3: expected key=value, got 'kappa 1'"),
+    ("mode=lsm\nshape=apple\nwavelength=3\n", "unknown key 'wavelength' (line 3)"),
+    ("mode=lsm\nshape=apple\nN=3.5\nkappa=1\n",
+     "key 'N' (line 3): malformed value '3.5' (invalid literal for int() with base 10: '3.5')"),
+    ("mode=lsm\nshape=apple\nkappa=1\ncenter=1,2,3\n",
+     "key 'center' (line 4): malformed value '1,2,3' (expected two comma-separated numbers)"),
+    ("mode=lsm\nshape=apple\nkappa=nan\n", "key 'kappa' (line 3): must be finite, got 'nan'"),
+    # One key at a time.
+    ("mode=fly\nshape=apple\nkappa=1\n", f"key 'mode' (line 1): must be one of {MODES}, got 'fly'"),
+    ("shape=apple\nkappa=1\n", f"key 'mode' (line 0): must be one of {MODES}, got None"),
+    ("mode=lsm\nshape=banana\nkappa=1\n",
+     "key 'shape' (line 2): must be one of ('apple', 'peanut', 'peach', 'circle', 'ellipse')"),
+    ("mode=lsm\nshape=apple\nkappa=1\nscale=0\n", "key 'scale' (line 4): must be > 0"),
+    ("mode=lsm\nshape=apple\nkappa=-1\n", "key 'kappa' (line 3): must be > 0"),
+    ("mode=lsm\nshape=apple\nkappa=1\nalpha=0\n", "key 'alpha' (line 4): must be > 0"),
+    ("mode=lsm\nshape=apple\nkappa=1\nzeta=-0.1\n", "key 'zeta' (line 4): must be > 0"),
+    ("mode=esm\nshape=apple\nkappa=1\nR=-1\n", "key 'R' (line 4): must be > 0"),
+    ("mode=esm-multilevel\nshape=apple\nkappa=1\nR0=0\n", "key 'R0' (line 4): must be > 0"),
+    ("mode=esm\nshape=apple\nR=1\nL=3\nkappa_min=-1\nkappa_max=2\n",
+     "key 'kappa_min' (line 5): must be > 0"),
+    ("mode=esm\nshape=apple\nR=1\nL=3\nkappa_min=1\nkappa_max=0\n",
+     "key 'kappa_max' (line 6): must be > 0"),
+    ("mode=lsm\nshape=apple\nkappa=1\ndelta=-0.1\n", "key 'delta' (line 4): must be >= 0"),
+    ("mode=esm\nshape=apple\nkappa=1\nR=1\nL=0\n", "key 'L' (line 5): must be >= 1"),
+    ("mode=lsm\nshape=apple\nkappa=1\nN=7\n", "key 'N' (line 4): must be even and >= 8"),
+    ("mode=esm\nshape=apple\nkappa=1\nR=1\nN=7\n", "key 'N' (line 5): must be >= 8"),
+    ("mode=lsm\nshape=apple\nkappa=1\nn=100\n",
+     "key 'n' (line 4): must be a power of two in [8, 1024]"),
+    ("mode=lsm\nshape=apple\nkappa=1\ngrid_ny=1\n", "key 'grid_ny' (line 4): must be >= 2"),
+    ("mode=lsm\nshape=apple\nkappa=1\ngrid_xmin=2\n",
+     "key 'grid_xmin' (line 4): needs grid_xmin < grid_xmax, got 2.0 and 1.5"),
+    # Rules across keys.
+    ("mode=lsm\nkappa=1\n", "key 'shape' (line 0): required for mode=lsm without farfield_in"),
+    ("mode=forward\nfarfield_in=x.ff\n",
+     "key 'farfield_in' (line 2): mode=forward synthesizes its data"),
+    ("mode=lsm\nfarfield_in=x.ff\nkappa=1\n",
+     "key 'kappa' (line 3): the farfield_in file sets kappa; drop kappa"),
+    ("mode=lsm\nfarfield_in=x.ff\ndelta=0.05\n",
+     "key 'delta' (line 3): noise applies when synthesizing data; drop farfield_in or set delta=0"),
+    ("mode=esm\nshape=apple\nkappa=1\nR=0.5\ndelta=0.2\n",
+     "key 'delta' (line 5): mode=esm adds no noise to its data; set delta=0"),
+    ("mode=lsm\nshape=apple\nkappa=1\nL=3\n", "key 'L' (line 4): applies to mode=esm only"),
+    ("mode=esm-multilevel\nshape=apple\nkappa=1\nR0=4\nR=1\n",
+     "key 'R' (line 5): applies to mode=esm only"),
+    ("mode=esm\nshape=apple\nkappa=1\nR=1\nR0=3\n",
+     "key 'R0' (line 5): applies to mode=esm-multilevel only"),
+    ("mode=esm\nshape=apple\nkappa=1\n", "key 'R' (line 0): required for mode=esm"),
+    ("mode=esm\nshape=apple\nR=1\nL=3\nkappa_max=2\n",
+     "key 'kappa_min' (line 0): kappa_min and kappa_max required when L > 1"),
+    ("mode=esm\nshape=apple\nR=1\nL=3\nkappa_min=2\nkappa_max=1\n",
+     "key 'kappa_max' (line 6): must exceed kappa_min"),
+    ("mode=esm\nfarfield_in=x.ff\nR=1\nL=3\nkappa_min=1\nkappa_max=2\n",
+     "key 'farfield_in' (line 2): multi-frequency runs synthesize data"),
+    ("mode=esm\nshape=apple\nkappa=1\nR=1\nkappa_max=3\n",
+     "key 'kappa_max' (line 5): applies to multi-frequency runs (L > 1) only"),
+    ("mode=esm-multilevel\nshape=apple\nkappa=1\n",
+     "key 'R0' (line 0): required for mode=esm-multilevel"),
+    ("mode=esm-multilevel\nshape=apple\nkappa=1\nR0=4\ndirections=1,2\n",
+     "key 'directions' (line 5): mode=esm-multilevel uses one incident direction; give one angle"),
+    ("mode=forward\nshape=apple\n", "key 'kappa' (line 0): required for mode=forward"),
+])
+def test_validator_messages_are_pinned(text, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_scenario(text)
 
 
@@ -235,6 +316,17 @@ def test_lsm_consumes_farfield_file(forward_outputs, tmp_path):
     assert float(ind.meta["kappa"]) == pytest.approx(3.14159265358979)
 
 
+def test_farfield_in_manifest_records_no_direction_count(tmp_path):
+    run(parse_scenario("mode=forward\nshape=circle\nkappa=3.141592653589793\nN=16\nn=32\n"),
+        out=str(tmp_path / "data"))
+    text = f"mode=lsm\nfarfield_in={tmp_path / 'data.ff'}\ngrid_nx=16\ngrid_ny=16\n"
+    run(parse_scenario(text), out=str(tmp_path / "first"))
+    manifest = (tmp_path / "first.manifest").read_text()
+    assert not re.search(r"^(N|n)=", manifest, flags=re.MULTILINE)
+    run(parse_scenario(manifest), out=str(tmp_path / "again"))
+    assert sha256(tmp_path / "first.ind") == sha256(tmp_path / "again.ind")
+
+
 def test_lsm_from_odd_direction_count_file(tmp_path):
     # Far-field files may carry an odd direction count; LSM accepts them.
     N = 31
@@ -345,6 +437,14 @@ def test_scenario_multifrequency_wavenumbers():
     s = Scenario(mode="esm", shape="peach", kappa_min=np.pi, kappa_max=4 * np.pi, L=5, R=1.0)
     ks = s.wavenumbers()
     np.testing.assert_allclose(ks, np.linspace(np.pi, 4 * np.pi, 5), rtol=1e-15)
+
+
+def test_docstring_lists_every_key():
+    doc = bhs.scenario.__doc__
+    keys = doc[doc.index("Recognized keys"):doc.index("All randomness")]
+    listed = {name for line in keys.splitlines() if re.match(r" {4}\S", line)
+              for name in re.split(r",\s*", re.split(r"\s{2,}", line.strip())[0])}
+    assert {spec.name for spec in dataclasses.fields(Scenario)} <= listed
 
 
 @pytest.mark.parametrize(

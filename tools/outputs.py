@@ -10,8 +10,9 @@ scenario of ``demos/scenarios`` with its output prefix moved to
 
 ``compare`` counts identical and differing files per suffix. Manifests and
 scenario files are compared without their ``out=`` and ``farfield_in=``
-lines, which hold the directory's own paths. For ``.ind`` maps it prints the
-worst pointwise relative difference per workload. It exits 1 if a ``.ff``,
+lines, which hold the directory's own paths; for each that differs it prints
+the lines found on one side only. For ``.ind`` maps it prints the worst
+pointwise relative difference per workload. It exits 1 if a ``.ff``,
 ``.mask``, ``.pgm``, ``.loc`` or manifest differs, or if a file is only on
 one side.
 
@@ -31,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 5)
 CHECKED = (".ff", ".mask", ".pgm", ".loc", ".manifest")
+TEXTS = (".manifest", ".cfg")
 PATH_KEYS = ("out=", "farfield_in=")
 
 
@@ -84,17 +86,23 @@ def compare(a: Path, b: Path) -> int:
     worst = {}                               # workload -> worst relative .ind difference
     for rel in sorted(files[0] & files[1]):
         pa, pb = a / rel, b / rel
-        if rel.suffix in (".manifest", ".cfg"):
-            same = _without_paths(pa) == _without_paths(pb)
+        if rel.suffix in TEXTS:
+            texts = _without_paths(pa), _without_paths(pb)
+            same = texts[0] == texts[1]
         else:
             same = pa.read_bytes() == pb.read_bytes()
         counts[rel.suffix][not same] += 1
         if rel.suffix == ".ind":
             diff = 0.0 if same else _relative_difference(_ind_values(pa), _ind_values(pb))
             worst[rel.parts[0]] = max(worst.get(rel.parts[0], 0.0), diff)
-        elif not same and rel.suffix in CHECKED:
+        elif not same and rel.suffix in CHECKED + TEXTS:
             print(f"differs: {rel}")
-            status = 1
+            status |= rel.suffix in CHECKED
+        if not same and rel.suffix in TEXTS:
+            for root, mine, other in ((a, *texts), (b, *texts[::-1])):
+                for line in mine:
+                    if line not in other:
+                        print(f"  only in {root}: {line}")
     print(f"{'suffix':10s} {'identical':>9s} {'differing':>9s}")
     for suffix, (same, differ) in sorted(counts.items()):
         print(f"{suffix or '(none)':10s} {same:9d} {differ:9d}")
