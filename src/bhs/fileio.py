@@ -172,8 +172,11 @@ def _rows(path, data, count: int, width: int) -> np.ndarray:
 def write_farfield(path, F: np.ndarray, kappa: float) -> None:
     """Write an (N, N) far-field array: magic, kappa, N, then N rows of 2N
     decimals (real and imaginary parts interleaved). Raises ``ValueError``,
-    before creating the file, for data ``read_farfield`` would reject: a
-    non-finite entry of F, or kappa not finite and > 0."""
+    before creating the file, for data ``read_farfield`` would reject: an F
+    that is not (N, N) with N >= 1, a non-finite entry of F, or kappa not
+    finite and > 0."""
+    if np.ndim(F) != 2 or np.size(F) == 0 or len(F) != np.shape(F)[1]:
+        raise ValueError(f"far field must have shape (N, N) with N >= 1, got {np.shape(F)}")
     if not 0.0 < kappa < np.inf:
         raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     rows = np.ascontiguousarray(F, dtype=np.complex128).view(np.float64)

@@ -45,6 +45,16 @@ S = S_k - Z (K'_k - I/2), phiH = S^-1 (h1 - Z h2) and phiM = A22^-1 (h2 -
 (two triangular solves) and Z (K'_k - I/2), (8/3) m^3 for the complex LU of
 S; about 9.3 m^3 in all, against (64/3) m^3 for one complex 2m x 2m LU.
 
+From 512 nodes (n >= 256) the assembly runs on two lanes: the calling thread
+and one worker thread per process, started on first use. Of each block's
+kernel pair, the worker evaluates the second (Y or K) while the caller
+evaluates the first (J or I) and writes its terms; the geometric factor
+nu.(x_i - x_j) is likewise formed beside r. The same ufuncs see the same
+arguments, so the matrix is bit-identical to a one-lane build, and peak
+memory grows by one m x m float buffer (2 MB at n = 256). Smaller systems
+run both lanes inline: at n = 128 the worker saved less wall time than it
+added CPU time.
+
 Far field
 ---------
 With the normalization u_s ~ (e^{i pi/4} / sqrt(8 pi k)) (e^{ikr}/sqrt r)
@@ -60,7 +70,9 @@ Observation directions come from :func:`bhs.grids.equiangular_directions`.
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -93,6 +105,33 @@ _COND_LIMIT = 1e12
 # prev_size", then an abort), so back-substitutions are serialized.
 _LU_SOLVE_LOCK = threading.Lock()
 _ROW_BLOCK = 32  # rows per kernel evaluation in assemble_system
+_LANE_NODES = 512  # node count from which the assembly's second lane is a worker thread
+_LANES = {}  # process id -> submit of the worker thread of that process
+
+
+def _now(fn, *args):
+    """The second lane of an assembly below ``_LANE_NODES`` nodes: fn(*args), done at once."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
+
+
+def _lane():
+    """``submit`` of the one worker thread of this process, started on first use.
+
+    A forked child inherits the parent's executor object but not its thread,
+    so the executor is looked up by process id. When threads race to start
+    it, ``setdefault`` keeps one; the others' executors never start a thread.
+
+    Work sent to the lane calls only ufuncs and numpy on arrays its caller
+    owns, and the caller collects the result before it returns, in a
+    ``finally`` where the work in between can raise. It calls no
+    ``lu_solve`` (see ``_LU_SOLVE_LOCK``), no public ``bhs`` function (the
+    benchmark tracer keeps one span stack for all threads) and sends nothing
+    to the lane itself.
+    """
+    pid = os.getpid()
+    return _LANES.get(pid) or _LANES.setdefault(pid, ThreadPoolExecutor(1, "bhs-lane").submit)
 
 
 def plane_wave_data(disc: BoundaryDiscretization, kappa: float, directions):
@@ -153,6 +192,12 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
     separately; H = J + iY is never formed. Every entry is the same
     product, rounded in the same order, as in a row-major build.
 
+    From ``_LANE_NODES`` = 512 nodes, each kernel pair runs on two lanes:
+    a worker thread evaluates the second kernel into a spare m x m buffer
+    (2 MB at n = 256) while the caller evaluates the first and writes its
+    W A and Im B terms; the Re B term follows once both are done. Below
+    that the same code runs inline. The matrix is bit-identical either way.
+
     Raises
     ------
     IllConditionedSystemError
@@ -167,11 +212,15 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
     n = disc.n
     jac = disc.jacobians
     nu = disc.normals
+    lane = _lane() if m >= _LANE_NODES else _now
 
     diff = disc.nodes[None, :, :] - disc.nodes[:, None, :]   # (m, m, 2); [j, i] = x_i - x_j
+    # [j, i] = nu(t_i) . (x(t_i) - x(t_j)), formed by the lane beside r and kr.
+    c_over_r = lane(np.einsum, "ik,jik->ji", nu, diff)
     r = np.hypot(diff[..., 0], diff[..., 1])                 # (m, m), symmetric
     np.fill_diagonal(r, 1.0)
     kr = kappa * r
+    c_over_r = c_over_r.result()
     kr_max = float(kr.max())
     if kr_max > special.MAX_ARGUMENT:
         raise IllConditionedSystemError(
@@ -180,8 +229,7 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
         )
     if not kr.min() > 0.0:    # NaN (min propagates it) or coincident nodes
         raise ValueError(f"kappa |x_i - x_j| must be finite and > 0, got {kr.min()}")
-    # [j, i] = nu(t_i) . (x(t_i) - x(t_j)) / r; O(r) near the diagonal.
-    c_over_r = np.einsum("ik,jik->ji", nu, diff) / r
+    c_over_r /= r  # O(r) near the diagonal
     del diff, r
 
     # Kress split A log(4 sin^2((t - tau)/2)) + (B - A log(...)): the log
@@ -195,10 +243,10 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
     W = sla.circulant(np.roll((_kress_log_weights(n) - w_trap * log_sin2)[::-1], 1))
     out = np.empty((2 * m, 2 * m), dtype=np.complex128, order="F")
     top, bottom = slice(0, m), slice(m, 2 * m)
-    kernel = np.empty((m, m))
-    tmp = np.empty((m, m))
+    # Three buffers apart: one (3, m, m) block read 2 MB more peak RSS at n = 256.
+    kernel, tmp, spare = (np.empty((m, m)) for _ in range(3))
 
-    def evaluate(f, order):
+    def evaluate(f, order, kernel):
         # Upper triangle by row blocks, not a ufunc where= mask: with scipy
         # 1.17.1, scipy.special.y0(kr, out=buf, where=mask) (likewise j0, k1)
         # crashed the process with a segmentation fault at m = 512. kr was
@@ -220,15 +268,21 @@ def assemble_system(disc: BoundaryDiscretization, kappa: float) -> np.ndarray:
 
     def put(rows, cols, order, first, second, A, B_re, B_im=None):
         # Block = W A + w_trap B, with A and Im B from the first kernel and
-        # Re B from the second; (scale, diagonal) pairs give each factor.
+        # Re B from the second; (scale, diagonal) pairs give each factor. The
+        # lane evaluates the second kernel into ``spare`` while this thread
+        # writes the first kernel's terms.
         block = out[rows, cols].T
-        K = evaluate(first, order)
-        np.multiply(W, term(K, order, *A), out=block.real)
-        if B_im is None:
-            block.imag[...] = 0.0
-        else:
-            np.multiply(w_trap, term(K, order, *B_im), out=block.imag)
-        B = term(evaluate(second, order), order, *B_re)
+        K2 = lane(evaluate, second, order, spare)
+        try:
+            K = evaluate(first, order, kernel)
+            np.multiply(W, term(K, order, *A), out=block.real)
+            if B_im is None:
+                block.imag[...] = 0.0
+            else:
+                np.multiply(w_trap, term(K, order, *B_im), out=block.imag)
+        finally:
+            K2 = K2.result()
+        B = term(K2, order, *B_re)
         B *= w_trap
         block.real += B
 

@@ -3,8 +3,8 @@ the README's library quick start run, and the scenario files run with the
 imaging outcomes the documentation records. Also checks which package
 modules the imaging methods and the disk series import, that no
 package code passes ``where=`` to a special function, that every LU
-back-substitution holds the solver lock and that nothing draws from numpy's
-global random state."""
+back-substitution holds the solver lock, that nothing draws from numpy's
+global random state and that only bhs.forward starts threads."""
 
 import ast
 import importlib
@@ -269,6 +269,71 @@ np.random.Generator(np.random.PCG64(3))
 def test_lu_solves_hold_the_lock_and_no_global_random_state(path):
     found = lock_and_random_violations(path.read_text(encoding="utf-8"))
     assert not found, f"{path.name} breaks the lock or random-state rule: {found}"
+
+
+def thread_violations(source):
+    """(line, dotted name) for each import from ``concurrent`` and each use or
+    import of ``threading.Thread``, resolved through the module's imports.
+    ``bhs.forward`` owns the one worker thread of the package; a second lane
+    elsewhere has to be a deliberate change to this check."""
+    tree = ast.parse(source)
+    bound = {}    # local name -> dotted module path or object it stands for
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                bound[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported = [f"{node.module}.{alias.name}" for alias in node.names]
+            bound.update((alias.asname or alias.name, full)
+                         for alias, full in zip(node.names, imported))
+        else:
+            continue
+        found += [(node.lineno, full) for full in imported
+                  if full.split(".")[0] == "concurrent" or full == "threading.Thread"]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            parts, name = [], node
+            while isinstance(name, ast.Attribute):
+                parts.append(name.attr)
+                name = name.value
+            if isinstance(name, ast.Name) and name.id in bound:
+                if ".".join([bound[name.id], *reversed(parts)]) == "threading.Thread":
+                    found.append((node.lineno, "threading.Thread"))
+    return sorted(found)
+
+
+def test_thread_check_finds_each_form():
+    source = """
+import threading
+import threading as th
+import concurrent.futures
+import concurrent.futures as cf
+from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
+from threading import Thread
+from threading import Thread as T
+lock = threading.Lock()
+threading.Thread(target=f).start()
+th.Thread(target=f)
+Thread(target=f)
+class Worker(T):
+    pass
+"""
+    assert [line for line, _ in thread_violations(source)] == [4, 5, 6, 7, 8, 9, 11, 12, 13, 14]
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "src" / "bhs").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_forward_starts_threads(path):
+    found = thread_violations(path.read_text(encoding="utf-8"))
+    if path.name == "forward.py":
+        assert [what for _, what in found] == ["concurrent.futures.Future",
+                                               "concurrent.futures.ThreadPoolExecutor"]
+    else:
+        assert not found, f"{path.name} starts threads outside bhs.forward: {found}"
 
 
 def test_every_scenario_is_pinned():

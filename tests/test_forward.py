@@ -1,6 +1,8 @@
 """Forward solver: quadrature structure, oracle agreement, physics checks."""
 
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import scipy.integrate as si
 import scipy.linalg as sla
 from scipy import special as sp
 
-from bhs import special
+from bhs import forward, special
 from bhs.exceptions import IllConditionedSystemError, NearBoundaryError
 from bhs.forward import (
     ClampedSolver,
@@ -574,6 +576,76 @@ def test_concurrent_column_solves(circle_disc):
         threaded = list(pool.map(lambda d: solver.solve_columns(*d)[0], datas))
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)
+
+
+# Systems large enough that assemble_system hands each second kernel to its worker thread.
+_LANE_CASES = [("apple", 2 * np.pi), ("peanut", np.pi), ("circle", 3.0), ("peach", 5.0)]
+
+
+def _lane_disc(name):
+    disc = discretize(make_named_curve(name), 256)
+    assert disc.node_count >= forward._LANE_NODES
+    return disc
+
+
+def test_concurrent_assemblies_match_lone_ones():
+    """Four user threads share the one assembly worker; each matrix keeps its bits."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    cases = [(_lane_disc(name), kappa) for name, kappa in _LANE_CASES]
+    lone = [assemble_system(*case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda case: assemble_system(*case), cases * 2, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for A, B in zip(lone * 2, threaded):
+        assert np.array_equal(A, B)
+
+
+def _assemble_in_child(disc, kappa, expected):
+    assert np.array_equal(assemble_system(disc, kappa), expected)
+    assert os.getpid() in forward._LANES
+
+
+@pytest.mark.filterwarnings("ignore:This process .*multi-threaded:DeprecationWarning")
+def test_forked_child_starts_its_own_assembly_worker():
+    """A fork inherits the parent's worker object but not its thread; the child
+    must start its own rather than wait on a thread that does not exist."""
+    import multiprocessing
+
+    disc, kappa = _lane_disc("apple"), 2 * np.pi
+    expected = assemble_system(disc, kappa)
+    assert os.getpid() in forward._LANES
+    child = multiprocessing.get_context("fork").Process(
+        target=_assemble_in_child, args=(disc, kappa, expected))
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung, "assembly in a forked child did not finish within 60 s"
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("kernels", ["J01", "Y01"])
+def test_kernel_error_propagates_and_next_assembly_is_intact(monkeypatch, kernels):
+    """J01 runs on the calling thread and Y01 on the worker: an error in
+    either reaches the caller, and the next assembly is unaffected."""
+    disc, kappa = _lane_disc("peanut"), np.pi
+    expected = assemble_system(disc, kappa)
+
+    def fail(x, out):
+        raise RuntimeError("kernel failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(special, kernels, (fail, fail))
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            assemble_system(disc, kappa)
+    assert np.array_equal(assemble_system(disc, kappa), expected)
 
 
 def test_input_validation():

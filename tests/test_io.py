@@ -1,5 +1,6 @@
 """File formats: exact round trips, pinned PGM mapping, format errors."""
 
+import re
 import warnings
 
 import numpy as np
@@ -303,6 +304,17 @@ def test_write_farfield_refuses_what_read_farfield_rejects(tmp_path, entry, kapp
     path = tmp_path / "bad.ff"
     with pytest.raises(ValueError, match="not finite|kappa"):
         write_farfield(path, F, kappa)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4,), (0, 0)])
+def test_write_farfield_refuses_non_square_shapes(tmp_path, shape):
+    """A non-square F was written and then rejected by the reader, a 1-d F
+    raised IndexError and an empty one ZeroDivisionError; each is now a
+    ValueError naming the shape, before the file is created."""
+    path = tmp_path / "bad.ff"
+    with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+        write_farfield(path, np.ones(shape, complex), 1.0)
     assert not path.exists()
 
 
