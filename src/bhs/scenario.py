@@ -253,9 +253,7 @@ def _validate(s: Scenario, lines_of: dict) -> None:
 # Drivers
 # ---------------------------------------------------------------------------
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+    return fileio._fmt(x) if isinstance(x, float) else str(x)
 
 
 def _manifest(path, scenario: Scenario, diagnostics: dict) -> None:

@@ -17,15 +17,21 @@ def winding_number(polyline: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize(
-    "name,t,expected",
+    "name,center,scale,t,expected",
     [
-        ("peanut", 0.0, (0.55, 0.0)),
-        ("apple", np.pi, (-0.22, 0.0)),
-        ("peach", np.pi / 2, (0.0, 0.44)),
+        pytest.param("peanut", (0.0, 0.0), 1.0, 0.0, (0.55, 0.0), id="peanut-0.0-expected0"),
+        pytest.param("apple", (0.0, 0.0), 1.0, np.pi, (-0.22, 0.0),
+                     id="apple-3.141592653589793-expected1"),
+        pytest.param("peach", (0.0, 0.0), 1.0, np.pi / 2, (0.0, 0.44),
+                     id="peach-1.5707963267948966-expected2"),
+        pytest.param("circle", (0.3, -0.7), 1.5, np.pi / 2, (0.3, 0.8), id="circle-placed-pi/2"),
+        pytest.param("ellipse", (0.3, -0.7), 1.5, 0.0, (1.8, -0.7), id="ellipse-placed-0"),
+        pytest.param("ellipse", (0.3, -0.7), 1.5, np.pi / 2, (0.3, 0.05), id="ellipse-placed-pi/2"),
+        pytest.param("ellipse", (0.3, -0.7), 1.5, np.pi, (-1.2, -0.7), id="ellipse-placed-pi"),
     ],
 )
-def test_table_values(name, t, expected):
-    curve = make_named_curve(name)
+def test_table_values(name, center, scale, t, expected):
+    curve = make_named_curve(name, center=center, scale=scale)
     np.testing.assert_allclose(curve.position(np.array([t]))[0], expected, atol=1e-14)
 
 
